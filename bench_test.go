@@ -399,7 +399,7 @@ func BenchmarkFig5SGXSigmoid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.calSvc.Nonlinear(context.Background(), core.NonlinearOp{Kind: core.OpSigmoid, InScale: 2, OutScale: 2}, cts); err != nil {
+		if _, err := f.calSvc.Nonlinear(context.Background(), core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 2, OutScale: 2}, cts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func BenchmarkFig5FakeSGXSigmoid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.zeroSvc.Nonlinear(context.Background(), core.NonlinearOp{Kind: core.OpSigmoid, InScale: 2, OutScale: 2}, cts); err != nil {
+		if _, err := f.zeroSvc.Nonlinear(context.Background(), core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 2, OutScale: 2}, cts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -728,8 +728,8 @@ func mustPrime(b *testing.B, bits, n int) uint64 {
 	return q
 }
 
-// BenchmarkSIMDBatchInference measures the §VIII extension: one SIMD engine
-// pass carrying 64 images in CRT slots.
+// BenchmarkSIMDBatchInference measures the §VIII extension: one engine pass
+// carrying 64 images in CRT slots (SIMD execution follows the image).
 func BenchmarkSIMDBatchInference64(b *testing.B) {
 	params, err := core.DefaultSIMDParameters()
 	if err != nil {
@@ -752,7 +752,7 @@ func BenchmarkSIMDBatchInference64(b *testing.B) {
 		nn.NewFullyConnected(3*5*5, 10, rng),
 	)
 	cfg := core.DefaultConfig()
-	engine, err := core.NewEngine(svc, model, core.WithSIMD(true))
+	engine, err := core.NewEngine(svc, model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1016,11 +1016,11 @@ func BenchmarkConcurrentServing64Batched(b *testing.B) { benchmarkConcurrentServ
 // --- PR 3: linear-layer hot path (coefficient reference vs NTT-resident) ---
 
 // benchmarkLinearLayer runs one TruePlainMul linear layer of the paper's
-// CNN end to end through the hybrid engine, reporting NTTs/op from the
-// ring's transform counters. disableResidency toggles the evaluation-form
-// hot path against the per-product NTT reference path; the two produce
+// CNN, reporting NTTs/op from the ring's transform counters. resident runs
+// the engine's evaluation-form kernel; otherwise the benchmark computes the
+// per-product ablation directly (see perProductLayer). The two produce
 // bit-identical ciphertexts (see internal/core/nttresident_test.go).
-func benchmarkLinearLayer(b *testing.B, fcLayer, disableResidency bool) {
+func benchmarkLinearLayer(b *testing.B, fcLayer, resident bool) {
 	params, err := core.DefaultHybridParameters()
 	if err != nil {
 		b.Fatal(err)
@@ -1049,11 +1049,7 @@ func benchmarkLinearLayer(b *testing.B, fcLayer, disableResidency bool) {
 		img.Data[i] = rng.Float64()
 	}
 	cfg := core.DefaultConfig()
-	engineOpts := []core.EngineOption{core.WithTruePlainMul(true)}
-	if disableResidency {
-		engineOpts = append(engineOpts, core.WithoutNTTResidency())
-	}
-	engine, err := core.NewEngine(svc, model, engineOpts...)
+	engine, err := core.NewEngine(svc, model, core.WithTruePlainMul(true))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1075,12 +1071,19 @@ func benchmarkLinearLayer(b *testing.B, fcLayer, disableResidency bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	run := func() error {
+		_, err := engine.Infer(ci)
+		return err
+	}
+	if !resident {
+		run = perProductLayer(b, params, model.Layers[len(model.Layers)-1], cfg, ci)
+	}
 	r := params.Ring()
 	b.ReportAllocs()
 	b.ResetTimer()
 	fwd0, inv0 := r.NTTCounts()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Infer(ci); err != nil {
+		if err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1089,10 +1092,85 @@ func benchmarkLinearLayer(b *testing.B, fcLayer, disableResidency bool) {
 	b.ReportMetric(float64((fwd1-fwd0)+(inv1-inv0))/float64(b.N), "NTTs/op")
 }
 
-func BenchmarkConvLayerCoeff(b *testing.B)       { benchmarkLinearLayer(b, false, true) }
-func BenchmarkConvLayerNTTResident(b *testing.B) { benchmarkLinearLayer(b, false, false) }
-func BenchmarkFCLayerCoeff(b *testing.B)         { benchmarkLinearLayer(b, true, true) }
-func BenchmarkFCLayerNTTResident(b *testing.B)   { benchmarkLinearLayer(b, true, false) }
+// perProductLayer returns the coefficient-form ablation of a conv or FC
+// layer over ci: the weights are quantized and prepared exactly as the
+// engine encodes them, and every output sums one full MulPlainOperand
+// (forward NTT, pointwise product, inverse NTT) per weight with
+// he.Evaluator, then adds the bias. An FC layer is a 1×1 convolution over
+// a 1×1 map, as the engine plans it.
+func perProductLayer(b *testing.B, params he.Parameters, layer nn.Layer, cfg core.Config, ci *core.CipherImage) func() error {
+	b.Helper()
+	var q *nn.QuantizedConv
+	var err error
+	h, w := ci.Height, ci.Width
+	switch l := layer.(type) {
+	case *nn.Conv2D:
+		q, err = nn.QuantizeConv(l, float64(cfg.WeightScale), float64(cfg.PixelScale))
+	case *nn.FullyConnected:
+		var f *nn.QuantizedFC
+		f, err = nn.QuantizeFC(l, float64(cfg.WeightScale), float64(cfg.PixelScale))
+		if err == nil {
+			q = &nn.QuantizedConv{InC: f.In, OutC: f.Out, K: 1, Stride: 1, W: f.W, B: f.B}
+			h, w = 1, 1
+		}
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval, err := he.NewEvaluator(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scalar, err := encoding.NewScalarEncoder(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := make([]*he.PlainOperand, len(q.W))
+	for i, wv := range q.W {
+		if ops[i], err = eval.PrepareOperand(scalar.Encode(wv)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	biases := make([]*he.Plaintext, len(q.B))
+	for o, bv := range q.B {
+		biases[o] = scalar.Encode(bv)
+	}
+	oh, ow := q.OutSize(h), q.OutSize(w)
+	return func() error {
+		for o := 0; o < q.OutC; o++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					var acc *he.Ciphertext
+					for i := 0; i < q.InC; i++ {
+						for ky := 0; ky < q.K; ky++ {
+							for kx := 0; kx < q.K; kx++ {
+								ct := ci.CTs[(i*h+oy*q.Stride+ky)*w+ox*q.Stride+kx]
+								term, err := eval.MulPlainOperand(ct, ops[((o*q.InC+i)*q.K+ky)*q.K+kx])
+								if err != nil {
+									return err
+								}
+								if acc == nil {
+									acc = term
+								} else if acc, err = eval.Add(acc, term); err != nil {
+									return err
+								}
+							}
+						}
+					}
+					if _, err := eval.AddPlain(acc, biases[o]); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
+}
+
+func BenchmarkConvLayerCoeff(b *testing.B)       { benchmarkLinearLayer(b, false, false) }
+func BenchmarkConvLayerNTTResident(b *testing.B) { benchmarkLinearLayer(b, false, true) }
+func BenchmarkFCLayerCoeff(b *testing.B)         { benchmarkLinearLayer(b, true, false) }
+func BenchmarkFCLayerNTTResident(b *testing.B)   { benchmarkLinearLayer(b, true, true) }
 
 // --- Wire serialization (v2 formats) ---
 

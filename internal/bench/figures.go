@@ -261,7 +261,7 @@ func timeEnclaveSigmoid(svc *core.EnclaveService, count int) (float64, error) {
 	var callErr error
 	t := timeIt(func() {
 		_, callErr = svc.Nonlinear(context.Background(),
-			core.NonlinearOp{Kind: core.OpSigmoid, InScale: 2, OutScale: 2}, cts)
+			core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 2, OutScale: 2}, cts)
 	}) / 1000.0
 	return t, callErr
 }

@@ -52,12 +52,10 @@ func (o Options) RunSIMD() error {
 		return err
 	}
 
+	// One engine serves every row: it runs SIMD whenever the image packs
+	// more than one lane, so the batch-1 row is the scalar path.
 	pixelScale := core.DefaultConfig().PixelScale
-	scalarEngine, err := core.NewEngine(svc, model)
-	if err != nil {
-		return err
-	}
-	simdEngine, err := core.NewEngine(svc, model, core.WithSIMD(true))
+	engine, err := core.NewEngine(svc, model)
 	if err != nil {
 		return err
 	}
@@ -71,7 +69,7 @@ func (o Options) RunSIMD() error {
 		return err
 	}
 	scalarTime := timeIt(func() {
-		if _, err := scalarEngine.Infer(ciScalar); err != nil {
+		if _, err := engine.Infer(ciScalar); err != nil {
 			panic(err)
 		}
 	}) / 1000.0
@@ -96,7 +94,7 @@ func (o Options) RunSIMD() error {
 		}
 		var inferErr error
 		simdTime := timeIt(func() {
-			_, inferErr = simdEngine.Infer(ci)
+			_, inferErr = engine.Infer(ci)
 		}) / 1000.0
 		if inferErr != nil {
 			return inferErr

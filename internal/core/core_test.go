@@ -174,7 +174,7 @@ func TestEnclaveSigmoidMatchesPlaintext(t *testing.T) {
 		}
 		cts = append(cts, ct)
 	}
-	out, err := svc.Nonlinear(context.Background(), NonlinearOp{Kind: OpSigmoid, InScale: inScale, OutScale: outScale}, cts)
+	out, err := svc.Nonlinear(context.Background(), NonlinearOp{Kind: OpActivation, Act: int(nn.Sigmoid), InScale: inScale, OutScale: outScale}, cts)
 	if err != nil {
 		t.Fatal(err)
 	}

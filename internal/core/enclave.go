@@ -12,7 +12,6 @@ import (
 	"log/slog"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"hesgx/internal/diag"
 	"hesgx/internal/encoding"
@@ -38,7 +37,6 @@ func (l *lockedSource) Uint64() uint64 {
 // ECALL names exported by the inference enclave.
 const (
 	ECallProvision  = "provision"
-	ECallSigmoid    = "sigmoid"
 	ECallActivation = "activation"
 	ECallPoolDivide = "pool_divide"
 	ECallPoolFull   = "pool_full"
@@ -54,7 +52,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.4.0"
+const EnclaveVersion = "1.5.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -101,10 +99,8 @@ type enclaveState struct {
 	keyBlob []byte
 	// src feeds re-encryption randomness.
 	src ring.Source
-	// actKind is the default activation computed by ECallActivation when a
-	// request does not carry its own kind. Atomic: SetActivation may race
-	// with concurrent ECALLs.
-	actKind atomic.Int64
+	// scalar is the one-value-per-ciphertext codec.
+	scalar scalarCodec
 	// cachedPK is retained only to answer the untrusted PublicKey()
 	// accessor; trusted code paths load from pkBytes.
 	cachedPK *he.PublicKey
@@ -140,7 +136,7 @@ func (st *enclaveState) packedCodec() (*encoding.PackedEncoder, error) {
 }
 
 // loadedKeys are the working key objects an ECALL derives from the at-rest
-// blobs on entry. pk is retained so lane ECALLs can derive additional
+// blobs on entry. pk is retained so encryptVectors can derive additional
 // encryptors for parallel re-encryption (encryptors own samplers and are
 // not safe to share across goroutines).
 type loadedKeys struct {
@@ -227,7 +223,11 @@ func NewEnclaveService(platform *sgx.Platform, params he.Parameters, opts ...Ser
 		o(&cfg)
 	}
 
-	state := &enclaveState{params: params, src: &lockedSource{src: cfg.keySource}}
+	scalar, err := encoding.NewScalarEncoder(params)
+	if err != nil {
+		return nil, err
+	}
+	state := &enclaveState{params: params, src: &lockedSource{src: cfg.keySource}, scalar: scalarCodec{scalar}}
 	kg, err := he.NewKeyGenerator(params, cfg.keySource)
 	if err != nil {
 		return nil, fmt.Errorf("core: enclave key generator: %w", err)
@@ -258,15 +258,14 @@ func NewEnclaveService(platform *sgx.Platform, params he.Parameters, opts ...Ser
 		Version: EnclaveVersion,
 		ECalls: map[string]sgx.ECallFunc{
 			ECallProvision:  state.provision,
-			ECallSigmoid:    state.sigmoid,
-			ECallActivation: state.activation,
-			ECallPoolDivide: state.poolDivide,
-			ECallPoolFull:   state.poolFull,
-			ECallPoolMax:    state.poolMax,
+			ECallActivation: state.vectorECall(state.activation),
+			ECallPoolDivide: state.vectorECall(state.poolDivide),
+			ECallPoolFull:   state.vectorECall(state.poolFull),
+			ECallPoolMax:    state.vectorECall(state.poolMax),
 			ECallRefresh:    state.refresh,
-			ECallLanePack:   state.lanePack,
-			ECallLaneDemux:  state.laneDemux,
-			ECallPoolUnpack: state.poolUnpack,
+			ECallLanePack:   state.vectorECall(state.lanePack),
+			ECallLaneDemux:  state.vectorECall(state.laneDemux),
+			ECallPoolUnpack: state.vectorECall(state.poolUnpack),
 			ECallGaloisKeys: state.galoisKeys,
 		},
 	})
@@ -293,12 +292,6 @@ func (s *EnclaveService) Enclave() *sgx.Enclave { return s.enclave }
 // untrusted server may use it (e.g. for transparent re-encryption tests),
 // while users receive it through the attested channel.
 func (s *EnclaveService) PublicKey() *he.PublicKey { return s.state.cachedPK }
-
-// SetActivation selects the default activation function computed by the
-// generic activation ECALL (default Sigmoid). Values follow nn.ActKind.
-// Requests that carry their own NonlinearOp.Act override this; the setter
-// remains for Nonlinear callers that omit Act.
-func (s *EnclaveService) SetActivation(kind int) { s.state.actKind.Store(int64(kind)) }
 
 // touchKeys accounts the enclave-resident key material against the EPC.
 func (st *enclaveState) touchKeys(ctx *sgx.Context) {
@@ -384,90 +377,162 @@ func (m *budgetMeter) wrap(cts []byte) []byte {
 	return out
 }
 
-// decryptVectors decrypts a batch into centered value vectors, recording
-// each ciphertext's measured noise budget into meter. In scalar mode each
-// ciphertext yields one value (its constant coefficient); in SIMD mode each
-// yields its full slot vector (§VIII).
-func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, simd bool, meter *budgetMeter) ([][]int64, error) {
-	cts, err := decodeCiphertextBatch(payload, st.params)
+// vecCodec maps plaintexts to the value vectors trusted code computes on,
+// and back. There are three: scalarCodec (one value in the constant
+// coefficient), encoding.BatchEncoder (every CRT slot, §VIII) and
+// encoding.PackedEncoder (rotation-addressed slot rows).
+type vecCodec interface {
+	Encode(vec []int64) (*he.Plaintext, error)
+	Decode(pt *he.Plaintext) ([]int64, error)
+}
+
+// scalarCodec carries one value per ciphertext in the constant coefficient.
+type scalarCodec struct{ enc *encoding.ScalarEncoder }
+
+func (c scalarCodec) Encode(vec []int64) (*he.Plaintext, error) { return c.enc.Encode(vec[0]), nil }
+
+func (c scalarCodec) Decode(pt *he.Plaintext) ([]int64, error) {
+	return []int64{c.enc.Decode(pt)}, nil
+}
+
+// requestCodec picks the codec a request's SIMD flag selects.
+func (st *enclaveState) requestCodec(req *nonlinearRequest) (vecCodec, error) {
+	if req.SIMD == 0 {
+		return st.scalar, nil
+	}
+	codec, err := st.slotCodec()
+	if err != nil {
+		return nil, fmt.Errorf("SIMD request: %w", err)
+	}
+	return codec, nil
+}
+
+// decryptVectors decrypts cts into value vectors with codec, fanning out
+// across workers (the decryptor is safe to share), and folds each
+// ciphertext's measured noise budget into meter in batch order.
+func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, cts []*he.Ciphertext, codec vecCodec, workers int, meter *budgetMeter) ([][]int64, error) {
+	vecs := make([][]int64, len(cts))
+	bits := make([]float64, len(cts))
+	err := parallelFor(len(cts), workers, func(i int) error {
+		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
+		if err != nil {
+			return fmt.Errorf("decrypting batch element %d: %w", i, err)
+		}
+		bits[i] = b
+		if vecs[i], err = codec.Decode(pt); err != nil {
+			return fmt.Errorf("decoding batch element %d: %w", i, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var codec *encoding.BatchEncoder
-	if simd {
-		if codec, err = st.slotCodec(); err != nil {
-			return nil, fmt.Errorf("SIMD request: %w", err)
-		}
+	for _, b := range bits {
+		meter.observe(b)
 	}
-	t := st.params.T
-	out := make([][]int64, len(cts))
-	for i, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
-		if err != nil {
-			return nil, fmt.Errorf("decrypting batch element %d: %w", i, err)
+	ctx.Touch(st.params.N * 8 * 2 * len(cts))
+	return vecs, nil
+}
+
+// encryptVectors re-encrypts value vectors as fresh ciphertexts with codec
+// and encodes the batch, splitting it into one contiguous range per worker.
+// Worker 0 reuses keys.enc; the rest derive their own encryptor from the
+// loaded public key, because encryptors own samplers and must not be shared
+// across goroutines.
+func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs [][]int64, codec vecCodec, workers int) ([]byte, error) {
+	n := len(vecs)
+	out := make([]*he.Ciphertext, n)
+	workers = max(1, min(workers, n))
+	chunk := (n + workers - 1) / workers
+	err := parallelFor(workers, workers, func(w int) error {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		if lo >= hi {
+			return nil
 		}
-		meter.observe(bits)
-		if simd {
-			slots, err := codec.Decode(pt)
+		enc := keys.enc
+		if w > 0 {
+			var err error
+			if enc, err = he.NewEncryptor(keys.pk, st.src); err != nil {
+				return err
+			}
+		}
+		for i := lo; i < hi; i++ {
+			pt, err := codec.Encode(vecs[i])
 			if err != nil {
-				return nil, fmt.Errorf("decoding slots of element %d: %w", i, err)
+				return fmt.Errorf("encoding element %d: %w", i, err)
 			}
-			out[i] = slots
-		} else {
-			c := pt.Poly.Coeffs[0]
-			v := int64(c)
-			if c > t/2 {
-				v = int64(c) - int64(t)
+			if out[i], err = enc.Encrypt(pt); err != nil {
+				return fmt.Errorf("re-encrypting element %d: %w", i, err)
 			}
-			out[i] = []int64{v}
 		}
-		ctx.Touch(st.params.N * 8 * 2)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	ctx.Touch(st.params.N * 8 * 2 * n)
+	return encodeCiphertextBatch(out)
 }
 
-// encryptVectors re-encrypts value vectors as fresh ciphertexts, matching
-// the mode of decryptVectors.
-func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs [][]int64, simd bool) ([]byte, error) {
-	var codec *encoding.BatchEncoder
-	if simd {
-		var err error
-		if codec, err = st.slotCodec(); err != nil {
-			return nil, fmt.Errorf("SIMD request: %w", err)
-		}
-	}
-	t := int64(st.params.T)
-	cts := make([]*he.Ciphertext, len(vecs))
-	for i, vec := range vecs {
-		var ct *he.Ciphertext
-		var err error
-		if simd {
-			pt, encodeErr := codec.Encode(vec)
-			if encodeErr != nil {
-				return nil, encodeErr
-			}
-			ct, err = keys.enc.Encrypt(pt)
-		} else {
-			r := vec[0] % t
-			if r < 0 {
-				r += t
-			}
-			ct, err = keys.enc.EncryptScalar(uint64(r))
-		}
+// vectorPlan is what one vector ECALL asks of the shared envelope: the
+// codec that decodes its inputs, the codec that encodes its outputs, the
+// worker count for both halves, and the plaintext computation between.
+type vectorPlan struct {
+	in, out vecCodec
+	workers int
+	compute func(vecs [][]int64) [][]int64
+}
+
+// vectorECall wraps a plan builder in the decrypt–compute–re-encrypt
+// envelope every non-linear ECALL but refresh shares (§IV-D): key loading,
+// request unmarshalling, decryption to vectors, re-encryption, and the
+// reply carrying the measured budgets. plan validates the request against
+// the n input ciphertexts before anything is decrypted.
+func (st *enclaveState) vectorECall(plan func(req *nonlinearRequest, n int) (vectorPlan, error)) sgx.ECallFunc {
+	return func(ctx *sgx.Context, input []byte) ([]byte, error) {
+		st.touchKeys(ctx)
+		keys, err := st.loadKeys(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("re-encrypting element %d: %w", i, err)
+			return nil, err
 		}
-		cts[i] = ct
-		ctx.Touch(st.params.N * 8 * 2)
+		req, err := unmarshalNonlinearRequest(input)
+		if err != nil {
+			return nil, err
+		}
+		cts, err := decodeCiphertextBatch(req.CTs, st.params)
+		if err != nil {
+			return nil, err
+		}
+		p, err := plan(req, len(cts))
+		if err != nil {
+			return nil, err
+		}
+		var meter budgetMeter
+		vecs, err := st.decryptVectors(ctx, keys, cts, p.in, p.workers, &meter)
+		if err != nil {
+			return nil, err
+		}
+		out, err := st.encryptVectors(ctx, keys, p.compute(vecs), p.out, p.workers)
+		if err != nil {
+			return nil, err
+		}
+		return meter.wrap(out), nil
 	}
-	return encodeCiphertextBatch(cts)
 }
 
-// applyActivationVectors maps applyActivation across value vectors.
-func applyActivationVectors(kind int, vecs [][]int64, inScale, outScale float64) {
-	for _, vec := range vecs {
-		applyActivation(kind, vec, inScale, outScale)
+// elementwise plans f over every value in the request's codec (scalar or
+// CRT slots), sequentially.
+func (st *enclaveState) elementwise(req *nonlinearRequest, f func(vec []int64)) (vectorPlan, error) {
+	codec, err := st.requestCodec(req)
+	if err != nil {
+		return vectorPlan{}, err
 	}
+	return vectorPlan{in: codec, out: codec, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+		for _, vec := range vecs {
+			f(vec)
+		}
+		return vecs
+	}}, nil
 }
 
 // applyActivation is the trusted non-linearity: dequantize, evaluate,
@@ -496,96 +561,29 @@ func applyActivation(kind int, vals []int64, inScale, outScale float64) {
 	}
 }
 
-// sigmoid is the §IV-D plaintext computation for the activation layer:
-// decrypt, exact Sigmoid on dequantized values, requantize, re-encrypt.
-func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	applyActivationVectors(1, vecs, float64(req.InScale), float64(req.OutScale))
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
-}
-
-// activation generalizes sigmoid to the enclave's configured activation,
-// demonstrating §VI-C's point that SGX evaluates diverse activations
-// (ReLU, Tanh, ...) without approximation.
-func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	kind := int(req.Act)
-	if kind == 0 {
-		kind = int(st.actKind.Load())
-	}
-	if kind == 0 {
-		kind = 1
-	}
-	applyActivationVectors(kind, vecs, float64(req.InScale), float64(req.OutScale))
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+// activation is the §IV-D plaintext computation for the activation layer:
+// dequantize, evaluate the requested activation exactly, requantize. It
+// carries §VI-C's point that SGX evaluates diverse activations (Sigmoid,
+// ReLU, Tanh, ...) without approximation.
+func (st *enclaveState) activation(req *nonlinearRequest, _ int) (vectorPlan, error) {
+	return st.elementwise(req, func(vec []int64) {
+		applyActivation(int(req.Act), vec, float64(req.InScale), float64(req.OutScale))
+	})
 }
 
 // poolDivide implements the second half of the SGXDiv strategy (§VI-D):
 // the window sums arrive already computed homomorphically outside; the
 // enclave performs only the non-linear division.
-func (st *enclaveState) poolDivide(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
+func (st *enclaveState) poolDivide(req *nonlinearRequest, _ int) (vectorPlan, error) {
 	if req.Divisor == 0 {
-		return nil, fmt.Errorf("pool divide with zero divisor")
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
+		return vectorPlan{}, fmt.Errorf("pool divide with zero divisor")
 	}
 	d := int64(req.Divisor)
-	for _, vec := range vecs {
+	return st.elementwise(req, func(vec []int64) {
 		for i, v := range vec {
 			vec[i] = divRound(v, d)
 		}
-	}
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+	})
 }
 
 // divRound divides with round-half-away-from-zero.
@@ -599,84 +597,82 @@ func divRound(v, d int64) int64 {
 // poolFull implements the SGXPool strategy (§VI-D): the whole feature map
 // enters the enclave, which computes mean pooling (sum and divide) in
 // plaintext and re-encrypts the smaller map.
-func (st *enclaveState) poolFull(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.poolKind(ctx, input, false)
+func (st *enclaveState) poolFull(req *nonlinearRequest, n int) (vectorPlan, error) {
+	return st.poolWindows(req, n, false)
 }
 
 // poolMax is max pooling, which HE cannot express at all (§VI-D's closing
 // observation: max-pooling is only possible via SGX in this framework).
-func (st *enclaveState) poolMax(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.poolKind(ctx, input, true)
+func (st *enclaveState) poolMax(req *nonlinearRequest, n int) (vectorPlan, error) {
+	return st.poolWindows(req, n, true)
 }
 
-func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	w, h, c, k := int(req.Width), int(req.Height), int(req.Channels), int(req.Window)
+// poolGeometry validates the feature map and window a pooling request
+// describes.
+func poolGeometry(req *nonlinearRequest) (c, h, w, k int, err error) {
+	c, h, w, k = int(req.Channels), int(req.Height), int(req.Width), int(req.Window)
 	if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
-		return nil, fmt.Errorf("pool geometry %dx%dx%d window %d invalid", c, h, w, k)
+		return 0, 0, 0, 0, fmt.Errorf("pool geometry %dx%dx%d window %d invalid", c, h, w, k)
 	}
 	if h%k != 0 || w%k != 0 {
-		return nil, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
+		return 0, 0, 0, 0, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
 	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
+	return c, h, w, k, nil
+}
+
+func (st *enclaveState) poolWindows(req *nonlinearRequest, n int, usesMax bool) (vectorPlan, error) {
+	c, h, w, k, err := poolGeometry(req)
 	if err != nil {
-		return nil, err
+		return vectorPlan{}, err
 	}
-	if len(vecs) != c*h*w {
-		return nil, fmt.Errorf("pool batch %d != %d*%d*%d", len(vecs), c, h, w)
+	if n != c*h*w {
+		return vectorPlan{}, fmt.Errorf("pool batch %d != %d*%d*%d", n, c, h, w)
 	}
-	width := 1
-	if len(vecs) > 0 {
-		width = len(vecs[0])
+	codec, err := st.requestCodec(req)
+	if err != nil {
+		return vectorPlan{}, err
 	}
-	oh, ow := h/k, w/k
-	out := make([][]int64, c*oh*ow)
-	for i := range out {
-		out[i] = make([]int64, width)
-	}
-	area := int64(k * k)
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := out[(ch*oh+oy)*ow+ox]
-				for s := 0; s < width; s++ {
-					if usesMax {
-						best := vecs[(ch*h+oy*k)*w+ox*k][s]
-						for ky := 0; ky < k; ky++ {
-							for kx := 0; kx < k; kx++ {
-								if v := vecs[(ch*h+oy*k+ky)*w+ox*k+kx][s]; v > best {
-									best = v
+	return vectorPlan{in: codec, out: codec, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+		width := 1
+		if len(vecs) > 0 {
+			width = len(vecs[0])
+		}
+		oh, ow := h/k, w/k
+		out := make([][]int64, c*oh*ow)
+		for i := range out {
+			out[i] = make([]int64, width)
+		}
+		area := int64(k * k)
+		for ch := 0; ch < c; ch++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					dst := out[(ch*oh+oy)*ow+ox]
+					for s := 0; s < width; s++ {
+						if usesMax {
+							best := vecs[(ch*h+oy*k)*w+ox*k][s]
+							for ky := 0; ky < k; ky++ {
+								for kx := 0; kx < k; kx++ {
+									if v := vecs[(ch*h+oy*k+ky)*w+ox*k+kx][s]; v > best {
+										best = v
+									}
 								}
 							}
-						}
-						dst[s] = best
-					} else {
-						var sum int64
-						for ky := 0; ky < k; ky++ {
-							for kx := 0; kx < k; kx++ {
-								sum += vecs[(ch*h+oy*k+ky)*w+ox*k+kx][s]
+							dst[s] = best
+						} else {
+							var sum int64
+							for ky := 0; ky < k; ky++ {
+								for kx := 0; kx < k; kx++ {
+									sum += vecs[(ch*h+oy*k+ky)*w+ox*k+kx][s]
+								}
 							}
+							dst[s] = divRound(sum, area)
 						}
-						dst[s] = divRound(sum, area)
 					}
 				}
 			}
 		}
-	}
-	enc, err := st.encryptVectors(ctx, keys, out, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+		return out
+	}}, nil
 }
 
 // refresh decrypts and immediately re-encrypts the full plaintext
@@ -725,72 +721,43 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 // packed codec, divides every window sum, and re-encrypts the pooled map as
 // scalar ciphertexts in channel-major order, handing the pipeline back to
 // the scalar flatten/FC tail.
-func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
+func (st *enclaveState) poolUnpack(req *nonlinearRequest, n int) (vectorPlan, error) {
 	codec, err := st.packedCodec()
 	if err != nil {
-		return nil, fmt.Errorf("pool unpack request: %w", err)
+		return vectorPlan{}, fmt.Errorf("pool unpack request: %w", err)
 	}
-	w, h, c, k, stride := int(req.Width), int(req.Height), int(req.Channels), int(req.Window), int(req.Lanes)
-	if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
-		return nil, fmt.Errorf("pool unpack geometry %dx%dx%d window %d invalid", c, h, w, k)
+	c, h, w, k, err := poolGeometry(req)
+	if err != nil {
+		return vectorPlan{}, fmt.Errorf("pool unpack: %w", err)
 	}
-	if h%k != 0 || w%k != 0 {
-		return nil, fmt.Errorf("pool unpack window %d does not divide %dx%d", k, h, w)
-	}
+	stride := int(req.Lanes)
 	if stride < w {
-		return nil, fmt.Errorf("pool unpack slot stride %d below map width %d", stride, w)
+		return vectorPlan{}, fmt.Errorf("pool unpack slot stride %d below map width %d", stride, w)
 	}
 	if req.Divisor == 0 {
-		return nil, fmt.Errorf("pool unpack with zero divisor")
+		return vectorPlan{}, fmt.Errorf("pool unpack with zero divisor")
 	}
 	oh, ow := h/k, w/k
 	// All window sums must live in row 0 of the packed layout: rotations
 	// never mix the two rows, so the furthest output slot bounds the map.
 	if maxSlot := (k*(oh-1))*stride + k*(ow-1); maxSlot >= codec.RowLen() {
-		return nil, fmt.Errorf("pool unpack slot %d exceeds row length %d", maxSlot, codec.RowLen())
+		return vectorPlan{}, fmt.Errorf("pool unpack slot %d exceeds row length %d", maxSlot, codec.RowLen())
 	}
-	cts, err := decodeCiphertextBatch(req.CTs, st.params)
-	if err != nil {
-		return nil, err
+	if n != c {
+		return vectorPlan{}, fmt.Errorf("pool unpack batch %d != %d channels", n, c)
 	}
-	if len(cts) != c {
-		return nil, fmt.Errorf("pool unpack batch %d != %d channels", len(cts), c)
-	}
-	var meter budgetMeter
 	d := int64(req.Divisor)
-	out := make([][]int64, c*oh*ow)
-	for ch, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
-		if err != nil {
-			return nil, fmt.Errorf("pool unpack decrypt channel %d: %w", ch, err)
-		}
-		meter.observe(bits)
-		slots, err := codec.Decode(pt)
-		if err != nil {
-			return nil, fmt.Errorf("pool unpack decode channel %d: %w", ch, err)
-		}
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := slots[(k*oy)*stride+k*ox]
-				out[(ch*oh+oy)*ow+ox] = []int64{divRound(sum, d)}
+	return vectorPlan{in: codec, out: st.scalar, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+		out := make([][]int64, c*oh*ow)
+		for ch, slots := range vecs {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					out[(ch*oh+oy)*ow+ox] = []int64{divRound(slots[(k*oy)*stride+k*ox], d)}
+				}
 			}
 		}
-		ctx.Touch(st.params.N * 8 * 2)
-	}
-	enc, err := st.encryptVectors(ctx, keys, out, false)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+		return out
+	}}, nil
 }
 
 // galoisKeys generates rotation key-switch keys inside the enclave for a

@@ -62,21 +62,9 @@ type Config struct {
 	// for weight multiplications, as the paper's SEAL-encoder pipeline
 	// does. When false, the engine uses the mathematically identical
 	// constant-coefficient fast path. Benchmarks that quantify C×P costs
-	// set this; tests and services keep the fast path.
+	// set this; tests and services keep the fast path. TruePlainMul linear
+	// layers always run NTT-resident (see convOutputNTT).
 	TruePlainMul bool
-	// DisableNTTResidency turns off the evaluation-form hot path for
-	// TruePlainMul linear layers, forcing the per-product
-	// NTT→pointwise→INTT reference path instead. The two paths are
-	// bit-identical (the inverse NTT is linear mod q); this switch exists
-	// for ablation benchmarks and equivalence tests. It has no effect when
-	// TruePlainMul is false — the scalar fast path performs no NTTs to
-	// eliminate.
-	DisableNTTResidency bool
-	// SIMD runs the pipeline over slot-packed ciphertexts: one engine pass
-	// processes a whole batch of images (§VIII). Requires a
-	// batching-capable plaintext modulus (prime t ≡ 1 mod 2n) and images
-	// encrypted with Client.EncryptImageBatch.
-	SIMD bool
 	// Workers parallelizes the homomorphic linear layers across goroutines:
 	// 0 or 1 = sequential (keeps timings comparable to the paper's
 	// single-threaded SEAL runs), -1 = one per CPU, n > 1 = exactly n.
@@ -123,14 +111,13 @@ type planStep struct {
 	// value directly comparable to the budget the enclave measures.
 	predBudgetBits float64
 
+	// conv holds the weights of a linear step; fully connected steps are
+	// planned as 1×1 convolutions (see quantizeLinear).
 	conv *nn.QuantizedConv
-	fc   *nn.QuantizedFC
 	// prepared weight operands (lazily built by EncodeWeights)
 	convOps []*he.PlainOperand // indexed like conv.W
-	fcOps   []*he.PlainOperand
-	// biasScaled holds biases pre-encoded as plaintexts.
+	// convBias holds biases pre-encoded as plaintexts.
 	convBias []*he.Plaintext
-	fcBias   []*he.Plaintext
 
 	act    nn.ActKind
 	window int
@@ -209,9 +196,6 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 		return nil, err
 	}
 	_, batchErr := encoding.NewBatchEncoder(params)
-	if cfg.SIMD && batchErr != nil {
-		return nil, fmt.Errorf("core: SIMD engine: %w", batchErr)
-	}
 	e := &HybridEngine{cfg: cfg, params: params, eval: eval, scalar: scalar, svc: svc, caller: svc,
 		slotCapable: batchErr == nil}
 
@@ -226,22 +210,13 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 	noise := params.FreshNoiseBound()
 	for i, l := range model.Layers {
 		switch v := l.(type) {
-		case *nn.Conv2D:
-			q, err := nn.QuantizeConv(v, float64(cfg.WeightScale), scale)
+		case *nn.Conv2D, *nn.FullyConnected:
+			q, kind, err := quantizeLinear(l, float64(cfg.WeightScale), scale)
 			if err != nil {
 				return nil, err
 			}
 			noise = noise.WeightedSum(float64(q.MaxKernelL1()), q.InC*q.K*q.K).AddPlain()
-			e.steps = append(e.steps, &planStep{kind: stepConv, conv: q, predBudgetBits: noise.BudgetBits()})
-			maxMag = q.MaxOutputMagnitude(maxMag)
-			scale *= float64(cfg.WeightScale)
-		case *nn.FullyConnected:
-			q, err := nn.QuantizeFC(v, float64(cfg.WeightScale), scale)
-			if err != nil {
-				return nil, err
-			}
-			noise = noise.WeightedSum(float64(q.MaxRowL1()), q.In).AddPlain()
-			e.steps = append(e.steps, &planStep{kind: stepFC, fc: q, predBudgetBits: noise.BudgetBits()})
+			e.steps = append(e.steps, &planStep{kind: kind, conv: q, predBudgetBits: noise.BudgetBits()})
 			maxMag = q.MaxOutputMagnitude(maxMag)
 			scale *= float64(cfg.WeightScale)
 		case *nn.Activation:
@@ -293,6 +268,23 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 		e.packed, e.packedReason = planPacked(params, e.steps, e.slotCapable)
 	}
 	return e, nil
+}
+
+// quantizeLinear quantizes a convolution or fully connected layer into the
+// one linear-step form. A fully connected layer is a 1×1 convolution over a
+// 1×1 map with In input channels: its weight index o*In+i, its row ℓ1 norms
+// (MaxKernelL1 = MaxRowL1) and its output bound coincide with the conv
+// view's, so one kernel and one noise formula serve both.
+func quantizeLinear(l nn.Layer, weightScale, inScale float64) (*nn.QuantizedConv, stepKind, error) {
+	if c, ok := l.(*nn.Conv2D); ok {
+		q, err := nn.QuantizeConv(c, weightScale, inScale)
+		return q, stepConv, err
+	}
+	f, err := nn.QuantizeFC(l.(*nn.FullyConnected), weightScale, inScale)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &nn.QuantizedConv{InC: f.In, OutC: f.Out, K: 1, Stride: 1, W: f.W, B: f.B, Scale: f.Scale}, stepFC, nil
 }
 
 // PlanStepInfo describes one planned step of the hybrid pipeline for
@@ -359,15 +351,11 @@ func (e *HybridEngine) EncodeWeights() error {
 
 func (e *HybridEngine) encodeAllWeights() error {
 	for _, s := range e.steps {
-		switch s.kind {
-		case stepConv:
-			if err := e.encodeConvStep(s); err != nil {
-				return err
-			}
-		case stepFC:
-			if err := e.encodeFCStep(s); err != nil {
-				return err
-			}
+		if s.conv == nil {
+			continue
+		}
+		if err := e.encodeLinearStep(s); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -378,23 +366,20 @@ func (e *HybridEngine) encodeAllWeights() error {
 func (e *HybridEngine) EncodedWeightCount() int {
 	total := 0
 	for _, s := range e.steps {
-		switch s.kind {
-		case stepConv:
+		if s.conv != nil {
 			total += len(s.conv.W) + len(s.conv.B)
-		case stepFC:
-			total += len(s.fc.W) + len(s.fc.B)
 		}
 	}
 	return total
 }
 
-func (e *HybridEngine) encodeConvStep(s *planStep) error {
+func (e *HybridEngine) encodeLinearStep(s *planStep) error {
 	if e.cfg.TruePlainMul {
 		s.convOps = make([]*he.PlainOperand, len(s.conv.W))
 		for i, w := range s.conv.W {
 			op, err := e.eval.PrepareOperand(e.scalar.Encode(w))
 			if err != nil {
-				return fmt.Errorf("core: encoding conv weight %d: %w", i, err)
+				return fmt.Errorf("core: encoding %s weight %d: %w", s.kind, i, err)
 			}
 			s.convOps[i] = op
 		}
@@ -402,24 +387,6 @@ func (e *HybridEngine) encodeConvStep(s *planStep) error {
 	s.convBias = make([]*he.Plaintext, len(s.conv.B))
 	for i, b := range s.conv.B {
 		s.convBias[i] = e.scalar.Encode(b)
-	}
-	return nil
-}
-
-func (e *HybridEngine) encodeFCStep(s *planStep) error {
-	if e.cfg.TruePlainMul {
-		s.fcOps = make([]*he.PlainOperand, len(s.fc.W))
-		for i, w := range s.fc.W {
-			op, err := e.eval.PrepareOperand(e.scalar.Encode(w))
-			if err != nil {
-				return fmt.Errorf("core: encoding fc weight %d: %w", i, err)
-			}
-			s.fcOps[i] = op
-		}
-	}
-	s.fcBias = make([]*he.Plaintext, len(s.fc.B))
-	for i, b := range s.fc.B {
-		s.fcBias[i] = e.scalar.Encode(b)
 	}
 	return nil
 }
@@ -466,9 +433,8 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 	}
 	// Lane-packed images run the same plan in SIMD mode: the linear algebra
 	// is slot-wise either way, and the enclave decodes slot vectors instead
-	// of constant coefficients. Scalar images keep the engine's configured
-	// mode, so one engine serves both encodings.
-	simd := e.cfg.SIMD || img.Lanes > 1
+	// of constant coefficients, so one engine serves both encodings.
+	simd := img.Lanes > 1
 	if img.Lanes > 1 && !e.slotCapable {
 		return nil, fmt.Errorf("core: image packs %d lanes but plaintext modulus %d is not batching-capable (needs prime t ≡ 1 mod 2n)",
 			img.Lanes, e.params.T)
@@ -527,11 +493,14 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		// profile the way the flight report decomposes wall-clock.
 		pprof.Do(sctx, pprof.Labels("hesgx_layer", s.label), func(lctx context.Context) {
 			switch s.kind {
-			case stepConv:
+			case stepConv, stepFC:
 				if packedStep {
 					cts, h, w, err = e.runPackedConv(s, cts, h, w, stride, gk)
 					c = s.conv.OutC
 				} else {
+					if s.kind == stepFC {
+						c, h, w = len(cts), 1, 1
+					}
 					cts, c, h, w, err = e.runConvParallel(s, cts, c, h, w, e.effectiveWorkers())
 				}
 				scale *= float64(e.cfg.WeightScale)
@@ -549,10 +518,6 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 				}
 			case stepFlatten:
 				// No-op on the flat ciphertext slice.
-			case stepFC:
-				cts, err = e.runFCParallel(s, cts, e.effectiveWorkers())
-				scale *= float64(e.cfg.WeightScale)
-				c, h, w = len(cts), 1, 1
 			}
 		})
 		var nttFwd, nttInv uint64
@@ -623,28 +588,16 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 	return &InferenceResult{Logits: cts, OutScale: scale}, nil
 }
 
-// mulWeight multiplies a ciphertext by quantized weight index idx of step s
-// (conv or fc), using either the true C×P path or the scalar fast path.
-func (e *HybridEngine) mulWeight(ct *he.Ciphertext, ops []*he.PlainOperand, weights []int64, idx int) (*he.Ciphertext, error) {
-	if e.cfg.TruePlainMul {
-		return e.eval.MulPlainOperand(ct, ops[idx])
-	}
-	return e.eval.MulScalar(ct, e.scalar.EncodeValue(weights[idx]))
-}
-
 func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.Ciphertext, inScale uint64, simd bool) ([]*he.Ciphertext, error) {
 	op := NonlinearOp{
 		Kind:     OpActivation,
 		SIMD:     simd,
 		InScale:  inScale,
 		OutScale: e.cfg.ActScale,
-		// Carrying the kind in the op (rather than mutating enclave state
-		// with SetActivation) keeps concurrent inferences with different
-		// activations independent — and lets a batching proxy key on it.
+		// Carrying the kind in the op (rather than in enclave state) keeps
+		// concurrent inferences with different activations independent —
+		// and lets a batching proxy key on it.
 		Act: int(s.act),
-	}
-	if s.act == nn.Sigmoid {
-		op = NonlinearOp{Kind: OpSigmoid, SIMD: simd, InScale: inScale, OutScale: e.cfg.ActScale}
 	}
 	if e.cfg.SingleECalls {
 		// The EncryptSGX(single) control of Fig. 8: one ECALL per value.
@@ -715,7 +668,10 @@ func (e *HybridEngine) ReferenceForward(img *nn.Tensor) ([]int64, error) {
 	scale := float64(e.cfg.PixelScale)
 	for i, s := range e.steps {
 		switch s.kind {
-		case stepConv:
+		case stepConv, stepFC:
+			if s.kind == stepFC {
+				c, h, w = len(vals), 1, 1
+			}
 			out, oh, ow, err := s.conv.Forward(vals, h, w)
 			if err != nil {
 				return nil, fmt.Errorf("core: reference step %d: %w", i, err)
@@ -732,14 +688,6 @@ func (e *HybridEngine) ReferenceForward(img *nn.Tensor) ([]int64, error) {
 			}
 			vals, h, w = out, h/s.window, w/s.window
 		case stepFlatten:
-		case stepFC:
-			out, err := s.fc.Forward(vals)
-			if err != nil {
-				return nil, fmt.Errorf("core: reference step %d: %w", i, err)
-			}
-			vals = out
-			scale *= float64(e.cfg.WeightScale)
-			c, h, w = len(vals), 1, 1
 		}
 	}
 	return vals, nil

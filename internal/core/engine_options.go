@@ -22,13 +22,6 @@ func WithPoolStrategy(p PoolStrategy) EngineOption {
 	return func(c *Config) { c.Pool = p }
 }
 
-// WithSIMD forces slot-packed execution for every inference (§VIII).
-// Lane-packed images (CipherImage.Lanes > 1) run SIMD regardless; this
-// option only matters for engines fed pre-packed scalar-layout images.
-func WithSIMD(on bool) EngineOption {
-	return func(c *Config) { c.SIMD = on }
-}
-
 // WithEngineWorkers parallelizes the homomorphic linear layers: 0 or 1 =
 // sequential, -1 = one worker per CPU, n > 1 = exactly n.
 func WithEngineWorkers(n int) EngineOption {
@@ -54,12 +47,6 @@ func WithTruePlainMul(on bool) EngineOption {
 // parameters or model shape do not support it.
 func WithPackedConv(on bool) EngineOption {
 	return func(c *Config) { c.PackedConv = on }
-}
-
-// WithoutNTTResidency disables the evaluation-form hot path for
-// TruePlainMul linear layers (ablation only; bit-identical results).
-func WithoutNTTResidency() EngineOption {
-	return func(c *Config) { c.DisableNTTResidency = true }
 }
 
 // NewEngine plans the hybrid execution of model with DefaultConfig

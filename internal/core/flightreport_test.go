@@ -149,6 +149,9 @@ func TestLowBudgetAlertUndersizedParameters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size CNN test skipped in short mode")
 	}
+	// Self-contained (own service, registry and keys, no process-global
+	// counters), so it shares the CPU with the other full-size CNN tests.
+	t.Parallel()
 	// 48-bit q against t=2^25 leaves a 22-bit budget ceiling: the conv
 	// layer's consumption lands the first refresh around 12 bits — under
 	// the 14-bit threshold yet comfortably above exhaustion.

@@ -18,6 +18,9 @@ func TestFullPaperCNNExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size CNN test skipped in short mode")
 	}
+	// Self-contained (own service, registry and keys, no process-global
+	// counters), so it shares the CPU with the other full-size CNN tests.
+	t.Parallel()
 	params, err := DefaultHybridParameters()
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-
-	"hesgx/internal/he"
-	"hesgx/internal/sgx"
 )
 
 // Lane packing (§VIII applied to serving): under concurrent load the edge
@@ -15,9 +11,9 @@ import (
 // image, and splits per-lane logits back out on reply. Every client holds
 // the same provisioned FV keypair (§IV-A delivers one enclave-generated key
 // to all users), so repacking is possible — but only inside the enclave,
-// which alone holds the secret key. The two ECALLs below are that trusted
-// repacking: both decrypt, transpose between scalar and slot layouts, and
-// re-encrypt fresh, so a pack doubles as a noise refresh and the engine's
+// which alone holds the secret key. The two ECALL plans below are that
+// trusted repacking: both decrypt, transpose between scalar and slot
+// layouts, and re-encrypt fresh (through the vectorECall envelope), so a pack doubles as a noise refresh and the engine's
 // static noise accountant applies to the packed pass unchanged.
 
 // laneWorkers sizes the parallelism of a lane repack: large batches
@@ -34,149 +30,36 @@ func laneWorkers(n int) int {
 	return w
 }
 
-// encryptChunked fills out[i] = build(i, enc) for i in [0, n), splitting the
-// range across workers. Worker 0 reuses keys.enc; the rest derive their own
-// encryptor from the loaded public key, because encryptors own samplers and
-// must not be shared across goroutines.
-func (st *enclaveState) encryptChunked(keys *loadedKeys, n, workers int, out []*he.Ciphertext, build func(i int, enc *he.Encryptor) (*he.Ciphertext, error)) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			ct, err := build(i, keys.enc)
-			if err != nil {
-				return err
-			}
-			out[i] = ct
-		}
-		return nil
-	}
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			enc := keys.enc
-			if w > 0 {
-				var err error
-				if enc, err = he.NewEncryptor(keys.pk, st.src); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			for i := lo; i < hi; i++ {
-				ct, err := build(i, enc)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = ct
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // lanePack merges req.Lanes scalar ciphertext groups, laid out lane-major
 // (lane k's P ciphertexts at offset k*P), into P slot-packed fresh
 // ciphertexts whose CRT slot k carries lane k's value. The measured noise
 // budgets of every decrypted input ride back in the reply envelope — the
 // per-lane attribution point for ciphertexts entering a packed pass.
-func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
+func (st *enclaveState) lanePack(req *nonlinearRequest, n int) (vectorPlan, error) {
 	codec, err := st.slotCodec()
 	if err != nil {
-		return nil, fmt.Errorf("lane pack: %w", err)
+		return vectorPlan{}, fmt.Errorf("lane pack: %w", err)
 	}
 	k := int(req.Lanes)
 	if k < 2 || k > codec.SlotCount() {
-		return nil, fmt.Errorf("lane pack: %d lanes outside [2, %d]", k, codec.SlotCount())
+		return vectorPlan{}, fmt.Errorf("lane pack: %d lanes outside [2, %d]", k, codec.SlotCount())
 	}
-	cts, err := decodeCiphertextBatch(req.CTs, st.params)
-	if err != nil {
-		return nil, err
+	if n == 0 || n%k != 0 {
+		return vectorPlan{}, fmt.Errorf("lane pack: batch of %d does not split into %d lanes", n, k)
 	}
-	if len(cts) == 0 || len(cts)%k != 0 {
-		return nil, fmt.Errorf("lane pack: batch of %d does not split into %d lanes", len(cts), k)
-	}
-	p := len(cts) / k
-	t := st.params.T
-	// Decrypt every lane's scalar ciphertexts. The decryptor allocates its
-	// own scratch and is safe to share, so large packs fan out across
-	// workers; budgets are collected per index and folded afterwards.
-	vals := make([]int64, len(cts))
-	bits := make([]float64, len(cts))
-	workers := laneWorkers(len(cts))
-	err = parallelFor(len(cts), workers, func(i int) error {
-		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
-		if err != nil {
-			return fmt.Errorf("lane pack decrypt %d: %w", i, err)
+	p := n / k
+	return vectorPlan{in: st.scalar, out: codec, workers: laneWorkers(n), compute: func(vals [][]int64) [][]int64 {
+		// Transpose position by position: slot k of packed ciphertext pos
+		// is lane k's value at pos.
+		out := make([][]int64, p)
+		for pos := range out {
+			out[pos] = make([]int64, k)
+			for lane := range out[pos] {
+				out[pos][lane] = vals[lane*p+pos][0]
+			}
 		}
-		bits[i] = b
-		c := pt.Poly.Coeffs[0]
-		v := int64(c)
-		if c > t/2 {
-			v = int64(c) - int64(t)
-		}
-		vals[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	for _, b := range bits {
-		meter.observe(b)
-	}
-	ctx.Touch(st.params.N * 8 * 2 * len(cts))
-	// Transpose position by position: slot k of packed ciphertext pos is
-	// lane k's value at pos.
-	out := make([]*he.Ciphertext, p)
-	err = st.encryptChunked(keys, p, workers, out, func(pos int, enc *he.Encryptor) (*he.Ciphertext, error) {
-		slots := make([]int64, k)
-		for lane := 0; lane < k; lane++ {
-			slots[lane] = vals[lane*p+pos]
-		}
-		pt, err := codec.Encode(slots)
-		if err != nil {
-			return nil, fmt.Errorf("lane pack encode %d: %w", pos, err)
-		}
-		ct, err := enc.Encrypt(pt)
-		if err != nil {
-			return nil, fmt.Errorf("lane pack re-encrypt %d: %w", pos, err)
-		}
-		return ct, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx.Touch(st.params.N * 8 * 2 * p)
-	enc, err := encodeCiphertextBatch(out)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+		return out
+	}}, nil
 }
 
 // laneDemux splits P slot-packed ciphertexts back into req.Lanes scalar
@@ -185,78 +68,25 @@ func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error)
 // no client's reply ever carries another lane's logits. The measured
 // budgets of the packed ciphertexts ride back in the envelope — the noise
 // the shared pass accumulated, attributed to every lane it served.
-func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
+func (st *enclaveState) laneDemux(req *nonlinearRequest, p int) (vectorPlan, error) {
 	codec, err := st.slotCodec()
 	if err != nil {
-		return nil, fmt.Errorf("lane demux: %w", err)
+		return vectorPlan{}, fmt.Errorf("lane demux: %w", err)
 	}
 	k := int(req.Lanes)
 	if k < 2 || k > codec.SlotCount() {
-		return nil, fmt.Errorf("lane demux: %d lanes outside [2, %d]", k, codec.SlotCount())
+		return vectorPlan{}, fmt.Errorf("lane demux: %d lanes outside [2, %d]", k, codec.SlotCount())
 	}
-	cts, err := decodeCiphertextBatch(req.CTs, st.params)
-	if err != nil {
-		return nil, err
-	}
-	p := len(cts)
 	if p == 0 {
-		return nil, fmt.Errorf("lane demux: empty batch")
+		return vectorPlan{}, fmt.Errorf("lane demux: empty batch")
 	}
-	vals := make([]int64, k*p)
-	bits := make([]float64, p)
-	workers := laneWorkers(k * p)
-	err = parallelFor(p, workers, func(i int) error {
-		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
-		if err != nil {
-			return fmt.Errorf("lane demux decrypt %d: %w", i, err)
+	return vectorPlan{in: codec, out: st.scalar, workers: laneWorkers(k * p), compute: func(slots [][]int64) [][]int64 {
+		out := make([][]int64, k*p)
+		for pos, vec := range slots {
+			for lane := 0; lane < k; lane++ {
+				out[lane*p+pos] = []int64{vec[lane]}
+			}
 		}
-		bits[i] = b
-		slots, err := codec.Decode(pt)
-		if err != nil {
-			return fmt.Errorf("lane demux decode %d: %w", i, err)
-		}
-		for lane := 0; lane < k; lane++ {
-			vals[lane*p+i] = slots[lane]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	for _, b := range bits {
-		meter.observe(b)
-	}
-	ctx.Touch(st.params.N * 8 * 2 * p)
-	t := int64(st.params.T)
-	out := make([]*he.Ciphertext, k*p)
-	err = st.encryptChunked(keys, k*p, workers, out, func(i int, enc *he.Encryptor) (*he.Ciphertext, error) {
-		r := vals[i] % t
-		if r < 0 {
-			r += t
-		}
-		ct, err := enc.EncryptScalar(uint64(r))
-		if err != nil {
-			return nil, fmt.Errorf("lane demux re-encrypt %d: %w", i, err)
-		}
-		return ct, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx.Touch(st.params.N * 8 * 2 * k * p)
-	enc, err := encodeCiphertextBatch(out)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+		return out
+	}}, nil
 }

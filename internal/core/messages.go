@@ -211,9 +211,8 @@ type nonlinearRequest struct {
 	// slot of each ciphertext instead of the constant coefficient (§VIII).
 	SIMD uint32
 	// Act selects the activation kind for activation calls (nn.ActKind
-	// values; 0 falls back to the enclave's configured default). Carrying
-	// the kind in the request keeps concurrent inferences with different
-	// activations from racing on enclave state.
+	// values; 0 selects Sigmoid). Carrying the kind in the request keeps
+	// concurrent inferences with different activations independent.
 	Act uint32
 	// Lanes is the lane count for lane pack/demux calls: how many scalar
 	// ciphertext groups map onto the slots of each packed ciphertext.

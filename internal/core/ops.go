@@ -15,11 +15,9 @@ type OpKind uint8
 
 // Non-linear operation kinds.
 const (
-	// OpSigmoid applies the exact sigmoid to each value (§IV-D).
-	OpSigmoid OpKind = iota + 1
 	// OpActivation applies the activation selected by NonlinearOp.Act
-	// (nn.ActKind values; 0 falls back to the service default).
-	OpActivation
+	// (nn.ActKind values; 0 selects Sigmoid, the paper's activation, §IV-D).
+	OpActivation OpKind = iota + 1
 	// OpPoolDivide divides homomorphically computed window sums by
 	// Divisor — the enclave half of the SGXDiv pooling strategy (§VI-D).
 	OpPoolDivide
@@ -56,8 +54,6 @@ const (
 // String names the op kind for metrics and logs.
 func (k OpKind) String() string {
 	switch k {
-	case OpSigmoid:
-		return "sigmoid"
 	case OpActivation:
 		return "activation"
 	case OpPoolDivide:
@@ -82,8 +78,6 @@ func (k OpKind) String() string {
 // ecallName maps the op kind to the enclave's ECALL table.
 func (k OpKind) ecallName() (string, error) {
 	switch k {
-	case OpSigmoid:
-		return ECallSigmoid, nil
 	case OpActivation:
 		return ECallActivation, nil
 	case OpPoolDivide:
@@ -127,7 +121,7 @@ type NonlinearOp struct {
 	// Divisor divides decrypted values (OpPoolDivide).
 	Divisor uint64
 	// Act selects the activation for OpActivation (nn.ActKind values;
-	// 0 uses the service default, which SetActivation configures).
+	// 0 selects Sigmoid).
 	Act int
 	// Geometry describes the feature map for OpPoolFull/OpPoolMax.
 	Geometry Geometry
@@ -140,7 +134,7 @@ type NonlinearOp struct {
 // enclave boundary.
 func (op NonlinearOp) Validate() error {
 	switch op.Kind {
-	case OpSigmoid, OpActivation:
+	case OpActivation:
 		if op.InScale == 0 || op.OutScale == 0 {
 			return fmt.Errorf("core: %s op needs non-zero scales", op.Kind)
 		}
@@ -192,7 +186,7 @@ func (op NonlinearOp) Validate() error {
 // length against the geometry and the output depends on element positions.
 func (op NonlinearOp) Batchable() bool {
 	switch op.Kind {
-	case OpSigmoid, OpActivation, OpPoolDivide, OpRefresh:
+	case OpActivation, OpPoolDivide, OpRefresh:
 		return true
 	default:
 		return false

@@ -9,8 +9,8 @@ import (
 )
 
 // Parallel execution of the homomorphic linear layers. The FV evaluator is
-// safe for concurrent use and every output position of a convolution or
-// fully connected layer is independent, so the engine shards output
+// safe for concurrent use and every output position of a convolution (and
+// of a fully connected layer, planned as a 1×1 convolution) is independent, so the engine shards output
 // positions across a worker pool. Enclave calls stay batched and
 // sequential: boundary crossings are the expensive resource the framework
 // already amortizes (§IV-D).
@@ -93,16 +93,6 @@ func (e *HybridEngine) effectiveWorkers() int {
 	return e.cfg.Workers
 }
 
-// nttResident reports whether linear layers run the evaluation-form hot
-// path: inputs hoisted to NTT form once, all weight products fused as
-// pointwise multiply-accumulates, one inverse transform per output. Only
-// the TruePlainMul pipeline benefits — the scalar fast path performs no
-// NTTs at all — and DisableNTTResidency forces the per-product reference
-// path for ablation.
-func (e *HybridEngine) nttResident() bool {
-	return e.cfg.TruePlainMul && !e.cfg.DisableNTTResidency
-}
-
 // toNTTInputs hoists the layer inputs into evaluation form, sharded across
 // workers. Inputs are copied first: they may be client-owned or shared with
 // other in-flight steps, and conversion is in place. The copies are
@@ -121,30 +111,26 @@ func (e *HybridEngine) toNTTInputs(in []*he.Ciphertext, workers int) []*he.Ciphe
 	return out
 }
 
-// convOutput computes one output position of a convolution step.
+// convOutput computes one output position of a convolution step on the
+// scalar fast path: constant-coefficient multiply-accumulates in coefficient
+// form, skipping zero weights.
 func (e *HybridEngine) convOutput(s *planStep, in []*he.Ciphertext, h, w, o, oy, ox int) (*he.Ciphertext, error) {
 	q := s.conv
 	var acc *he.Ciphertext
+	var err error
 	for i := 0; i < q.InC; i++ {
 		for ky := 0; ky < q.K; ky++ {
 			iy := oy*q.Stride + ky
 			for kx := 0; kx < q.K; kx++ {
-				wIdx := ((o*q.InC+i)*q.K+ky)*q.K + kx
-				if q.W[wIdx] == 0 && !e.cfg.TruePlainMul {
+				wv := q.W[((o*q.InC+i)*q.K+ky)*q.K+kx]
+				if wv == 0 {
 					continue
 				}
 				ct := in[(i*h+iy)*w+ox*q.Stride+kx]
-				var err error
-				switch {
-				case acc == nil:
-					acc, err = e.mulWeight(ct, s.convOps, q.W, wIdx)
-				case e.cfg.TruePlainMul:
-					var term *he.Ciphertext
-					if term, err = e.mulWeight(ct, s.convOps, q.W, wIdx); err == nil {
-						acc, err = e.eval.Add(acc, term)
-					}
-				default:
-					err = e.eval.MulScalarAddInto(acc, ct, e.scalar.EncodeValue(q.W[wIdx]))
+				if acc == nil {
+					acc, err = e.eval.MulScalar(ct, e.scalar.EncodeValue(wv))
+				} else {
+					err = e.eval.MulScalarAddInto(acc, ct, e.scalar.EncodeValue(wv))
 				}
 				if err != nil {
 					return nil, err
@@ -152,7 +138,6 @@ func (e *HybridEngine) convOutput(s *planStep, in []*he.Ciphertext, h, w, o, oy,
 			}
 		}
 	}
-	var err error
 	if acc == nil {
 		if acc, err = e.eval.MulScalar(in[0], 0); err != nil {
 			return nil, err
@@ -167,9 +152,10 @@ func (e *HybridEngine) convOutput(s *planStep, in []*he.Ciphertext, h, w, o, oy,
 // convOutputNTT computes one output position of a convolution step in
 // evaluation form: every weight product is a fused pointwise
 // multiply-accumulate against the NTT-resident inputs, with a single
-// inverse transform on the finished accumulator. Bit-identical to
-// convOutput under TruePlainMul (the inverse NTT is linear mod q, so
-// transforming the sum equals summing the transforms).
+// inverse transform on the finished accumulator. It is the TruePlainMul
+// kernel, bit-identical to summing per-product MulPlainOperand results (the
+// inverse NTT is linear mod q, so transforming the sum equals summing the
+// transforms); the tests keep that per-product sum as the oracle.
 func (e *HybridEngine) convOutputNTT(s *planStep, nttIn []*he.Ciphertext, h, w, o, oy, ox int) (*he.Ciphertext, error) {
 	q := s.conv
 	var acc *he.Ciphertext
@@ -202,7 +188,9 @@ func (e *HybridEngine) convOutputNTT(s *planStep, nttIn []*he.Ciphertext, h, w, 
 	return acc, nil
 }
 
-// runConvParallel shards convolution output positions across workers.
+// runConvParallel shards convolution output positions across workers. It
+// also runs fully connected steps, which the planner expresses as 1×1
+// convolutions over a 1×1 map (see quantizeLinear).
 func (e *HybridEngine) runConvParallel(s *planStep, in []*he.Ciphertext, c, h, w, workers int) ([]*he.Ciphertext, int, int, int, error) {
 	q := s.conv
 	if c != q.InC || len(in) != c*h*w {
@@ -210,7 +198,7 @@ func (e *HybridEngine) runConvParallel(s *planStep, in []*he.Ciphertext, c, h, w
 	}
 	oh, ow := q.OutSize(h), q.OutSize(w)
 	out := make([]*he.Ciphertext, q.OutC*oh*ow)
-	resident := e.nttResident()
+	resident := e.cfg.TruePlainMul
 	var nttIn []*he.Ciphertext
 	if resident {
 		nttIn = e.toNTTInputs(in, workers)
@@ -236,98 +224,4 @@ func (e *HybridEngine) runConvParallel(s *planStep, in []*he.Ciphertext, c, h, w
 		return nil, 0, 0, 0, err
 	}
 	return out, q.OutC, oh, ow, nil
-}
-
-// fcOutput computes one logit of a fully connected step.
-func (e *HybridEngine) fcOutput(s *planStep, in []*he.Ciphertext, o int) (*he.Ciphertext, error) {
-	q := s.fc
-	var acc *he.Ciphertext
-	var err error
-	for i, ct := range in {
-		wIdx := o*q.In + i
-		if q.W[wIdx] == 0 && !e.cfg.TruePlainMul {
-			continue
-		}
-		switch {
-		case acc == nil:
-			acc, err = e.mulWeight(ct, s.fcOps, q.W, wIdx)
-		case e.cfg.TruePlainMul:
-			var term *he.Ciphertext
-			if term, err = e.mulWeight(ct, s.fcOps, q.W, wIdx); err == nil {
-				acc, err = e.eval.Add(acc, term)
-			}
-		default:
-			err = e.eval.MulScalarAddInto(acc, ct, e.scalar.EncodeValue(q.W[wIdx]))
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		if acc, err = e.eval.MulScalar(in[0], 0); err != nil {
-			return nil, err
-		}
-	}
-	if acc, err = e.eval.AddPlain(acc, s.fcBias[o]); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// fcOutputNTT computes one logit against NTT-resident inputs — the FC
-// analogue of convOutputNTT.
-func (e *HybridEngine) fcOutputNTT(s *planStep, nttIn []*he.Ciphertext, o int) (*he.Ciphertext, error) {
-	q := s.fc
-	var acc *he.Ciphertext
-	for i, ct := range nttIn {
-		wIdx := o*q.In + i
-		if acc == nil {
-			acc = he.NewCiphertext(e.params, ct.Size())
-			acc.Form = he.NTTForm
-		}
-		if err := e.eval.MulPlainOperandAddInto(acc, ct, s.fcOps[wIdx]); err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		acc = he.NewCiphertext(e.params, nttIn[0].Size())
-	} else {
-		acc.ToCoeff()
-	}
-	if err := e.eval.AddPlainInto(acc, s.fcBias[o]); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// runFCParallel shards fully connected outputs across workers.
-func (e *HybridEngine) runFCParallel(s *planStep, in []*he.Ciphertext, workers int) ([]*he.Ciphertext, error) {
-	q := s.fc
-	if len(in) != q.In {
-		return nil, fmt.Errorf("fc input %d cts, want %d", len(in), q.In)
-	}
-	out := make([]*he.Ciphertext, q.Out)
-	resident := e.nttResident()
-	var nttIn []*he.Ciphertext
-	if resident {
-		nttIn = e.toNTTInputs(in, workers)
-	}
-	err := parallelFor(q.Out, workers, func(o int) error {
-		var ct *he.Ciphertext
-		var err error
-		if resident {
-			ct, err = e.fcOutputNTT(s, nttIn, o)
-		} else {
-			ct, err = e.fcOutput(s, in, o)
-		}
-		if err != nil {
-			return err
-		}
-		out[o] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

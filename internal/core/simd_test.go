@@ -28,13 +28,25 @@ func simdTestParams(t testing.TB) he.Parameters {
 	return p
 }
 
+// The engine derives SIMD execution from the image, so the modulus check
+// happens per inference: a lane-packed image over a non-batching modulus is
+// rejected before any work.
 func TestSIMDEngineRequiresBatchingModulus(t *testing.T) {
 	params := testParams(t) // t = 2^20, not ≡ 1 mod 2n
 	svc := testService(t, params)
+	client := testClient(t, svc)
 	cfg := testConfig()
-	cfg.SIMD = true
-	if _, err := newHybridEngine(svc, tinyCNN(1), cfg); err == nil {
-		t.Fatal("SIMD engine accepted a non-batching modulus")
+	engine, err := newHybridEngine(svc, tinyCNN(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := client.encryptImageScalar(tinyImage(1), cfg.PixelScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci.Lanes = 2 // claim a slot-packed batch the modulus cannot carry
+	if _, err := engine.Infer(ci); err == nil {
+		t.Fatal("engine ran a lane-packed image over a non-batching modulus")
 	}
 }
 
@@ -66,7 +78,6 @@ func TestSIMDHybridBatchInferenceExact(t *testing.T) {
 	client := testClient(t, svc)
 	model := tinyCNN(31)
 	cfg := testConfig()
-	cfg.SIMD = true
 	engine, err := newHybridEngine(svc, model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +120,6 @@ func TestSIMDStrategiesExact(t *testing.T) {
 	for _, strategy := range []PoolStrategy{PoolSGXDiv, PoolSGXPool} {
 		model := tinyCNN(51)
 		cfg := testConfig()
-		cfg.SIMD = true
 		cfg.Pool = strategy
 		engine, err := newHybridEngine(svc, model, cfg)
 		if err != nil {
@@ -154,14 +164,9 @@ func TestSIMDThroughputGain(t *testing.T) {
 	client := testClient(t, svc)
 	model := tinyCNN(61)
 
-	scalarCfg := testConfig()
-	scalarEngine, err := newHybridEngine(svc, model, scalarCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simdCfg := testConfig()
-	simdCfg.SIMD = true
-	simdEngine, err := newHybridEngine(svc, model, simdCfg)
+	// One engine serves both layouts: SIMD execution follows the image.
+	cfg := testConfig()
+	engine, err := newHybridEngine(svc, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +179,22 @@ func TestSIMDThroughputGain(t *testing.T) {
 
 	start := time.Now()
 	for _, img := range imgs {
-		ci, err := client.encryptImageScalar(img, scalarCfg.PixelScale)
+		ci, err := client.encryptImageScalar(img, cfg.PixelScale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scalarEngine.Infer(ci); err != nil {
+		if _, err := engine.Infer(ci); err != nil {
 			t.Fatal(err)
 		}
 	}
 	scalarTime := time.Since(start)
 
 	start = time.Now()
-	ci, err := client.EncryptImages(toTensors(imgs...), simdCfg.PixelScale)
+	ci, err := client.EncryptImages(toTensors(imgs...), cfg.PixelScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simdEngine.Infer(ci); err != nil {
+	if _, err := engine.Infer(ci); err != nil {
 		t.Fatal(err)
 	}
 	simdTime := time.Since(start)

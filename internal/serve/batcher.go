@@ -14,8 +14,8 @@ import (
 )
 
 // Batcher is a batching proxy in front of an enclave service: it coalesces
-// element-wise non-linear calls (Sigmoid / Activation / PoolDivide /
-// Refresh) from different in-flight inferences into shared enclave
+// element-wise non-linear calls (Activation / PoolDivide / Refresh) from
+// different in-flight inferences into shared enclave
 // transitions. The paper's Fig. 8 shows batching ciphertexts per ECALL
 // amortizes the dominant boundary-crossing cost *within* one inference;
 // the Batcher extends the same amortization *across* concurrent requests:

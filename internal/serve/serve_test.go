@@ -64,7 +64,7 @@ func TestBatcherCoalescesConcurrentCalls(t *testing.T) {
 	// 4 callers × 2 cts fill MaxBatch exactly; the last arrival flushes.
 	b := NewBatcher(fake, BatcherConfig{MaxBatch: 8, Window: time.Minute, Metrics: reg})
 	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpSigmoid, InScale: 2, OutScale: 2}
+	op := core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 2, OutScale: 2}
 
 	var wg sync.WaitGroup
 	results := make([][]*he.Ciphertext, 4)
@@ -169,7 +169,7 @@ func TestBatcherPropagatesErrorsToAllWaiters(t *testing.T) {
 	fake := &fakeCaller{err: boom}
 	b := NewBatcher(fake, BatcherConfig{MaxBatch: 4, Window: time.Minute})
 	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpSigmoid, InScale: 1, OutScale: 1}
+	op := core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 1, OutScale: 1}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -547,8 +547,8 @@ func TestOpValidation(t *testing.T) {
 		op core.NonlinearOp
 		ok bool
 	}{
-		{core.NonlinearOp{Kind: core.OpSigmoid, InScale: 1, OutScale: 1}, true},
-		{core.NonlinearOp{Kind: core.OpSigmoid}, false},
+		{core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid), InScale: 1, OutScale: 1}, true},
+		{core.NonlinearOp{Kind: core.OpActivation, Act: int(nn.Sigmoid)}, false},
 		{core.NonlinearOp{Kind: core.OpPoolDivide, Divisor: 4}, true},
 		{core.NonlinearOp{Kind: core.OpPoolDivide}, false},
 		{core.NonlinearOp{Kind: core.OpPoolFull, Geometry: core.Geometry{Channels: 1, Height: 4, Width: 4, Window: 2}}, true},
@@ -566,7 +566,7 @@ func TestOpValidation(t *testing.T) {
 			t.Errorf("case %d (%s): validation passed, want error", i, c.op.Kind)
 		}
 	}
-	if fmt.Sprint(core.OpSigmoid, core.OpRefresh) != "sigmoid refresh" {
+	if fmt.Sprint(core.OpActivation, core.OpRefresh) != "activation refresh" {
 		t.Error("op kind names changed")
 	}
 }

@@ -22,6 +22,13 @@ import (
 // with the full serving stack (lane packer included) behind WithService.
 func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serve.Service, shutdown func()) {
 	t.Helper()
+	return testStackLanesOn(t, nil)
+}
+
+// testStackLanesOn is testStackLanes with the server accepting through
+// wrap(listener) when wrap is non-nil.
+func testStackLanesOn(t *testing.T, wrap func(net.Listener) net.Listener) (addr string, st *pipelineStack, service *serve.Service, shutdown func()) {
+	t.Helper()
 	tm, err := core.SIMDBatchingModulus(1024, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +79,10 @@ func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serv
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr = ln.Addr().String()
+	if wrap != nil {
+		ln = wrap(ln)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -80,7 +91,7 @@ func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serv
 			t.Errorf("serve: %v", err)
 		}
 	}()
-	return ln.Addr().String(), st, service, func() {
+	return addr, st, service, func() {
 		cancel()
 		select {
 		case <-done:

@@ -340,9 +340,9 @@ func (s *Server) handleAttest(conn net.Conn, payload []byte) error {
 }
 
 func (s *Server) handleInfer(ctx context.Context, conn net.Conn, payload []byte) error {
-	// The request trace opens before decode and finishes after the reply
-	// frame is written, so its root span is the full server-side
-	// wall-clock of the request.
+	// The request trace opens before decode and finishes just before the
+	// reply frame is written (see replyFraming); the deferred Finish only
+	// closes it on error paths.
 	tr := s.tracer.Start("request")
 	ctx = trace.With(ctx, tr)
 	defer s.tracer.Finish(tr)
@@ -405,8 +405,8 @@ type tracedBlob struct {
 // wait span covers the encode + network time from the outside.
 func (e *replyEnvelope) prefix(inner MsgType) []byte {
 	var blob []byte
+	e.srv.tracer.Finish(e.tr)
 	if e.withSpans && e.tr != nil {
-		e.srv.tracer.Finish(e.tr)
 		b := tracedBlob{Trace: e.tr.TakeSnapshot(), Report: report.FromTrace(e.tr)}
 		if j, err := json.Marshal(b); err == nil {
 			blob = j
@@ -419,12 +419,24 @@ func (e *replyEnvelope) prefix(inner MsgType) []byte {
 }
 
 // replyFraming resolves how a serve path frames its reply: enveloped with
-// the trace blob when env is set, the plain inner type otherwise.
-func (e *replyEnvelope) replyFraming(inner MsgType) (MsgType, []byte) {
-	if e == nil {
+// the trace blob when env is set, the plain inner type otherwise. Either
+// way it finishes the request trace before any reply byte is written, so a
+// client that returns as soon as it reads the reply already finds the
+// request in the server's trace ring.
+func (s *Server) replyFraming(ctx context.Context, env *replyEnvelope, inner MsgType) (MsgType, []byte) {
+	if env == nil {
+		s.tracer.Finish(trace.FromContext(ctx))
 		return inner, nil
 	}
-	return MsgTracedReply, e.prefix(inner)
+	return MsgTracedReply, env.prefix(inner)
+}
+
+// recordReply accounts a reply frame of replyLen payload bytes. Callers
+// record before writing: replyLen is exact up front, and a client that
+// returns as soon as it reads the reply must find it counted.
+func (s *Server) recordReply(replyLen int) {
+	s.metrics.Counter("wire.bytes_out").Add(int64(replyLen) + frameHeaderSize)
+	s.metrics.ObserveHistogram("wire.reply_bytes", float64(replyLen))
 }
 
 func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, env *replyEnvelope) error {
@@ -448,16 +460,17 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, 
 	if err != nil {
 		return fmt.Errorf("wire: inference: %w", err)
 	}
-	// For traced requests the envelope prefix is rendered first: it finishes
-	// the trace and snapshots it, so the blob reflects the complete server
-	// span tree before any reply byte hits the wire.
-	replyType, prefix := env.replyFraming(MsgInferReply)
+	// The reply framing is resolved first: it finishes the trace (and, for
+	// traced requests, snapshots it into the envelope blob), so the server
+	// span tree is complete before any reply byte hits the wire.
+	replyType, prefix := s.replyFraming(ctx, env, MsgInferReply)
 	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
 	var replyLen int
 	if version == core.WireV2 {
 		// Packed batch, streamed straight to the connection: the exact size
 		// is known up front, so no intermediate buffer is materialized.
 		replyLen = len(prefix) + 8 + core.CiphertextBatchPackedSize(logits)
+		s.recordReply(replyLen)
 		err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
 			if len(prefix) > 0 {
 				if _, werr := w.Write(prefix); werr != nil {
@@ -480,14 +493,13 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, 
 		out = appendFloat64(out, outScale)
 		out = append(out, batch...)
 		replyLen = len(out)
+		s.recordReply(replyLen)
 		err = WriteFrame(conn, replyType, out)
 	}
 	espan.Arg("bytes", float64(replyLen)).End()
 	if err != nil {
 		return err
 	}
-	s.metrics.Counter("wire.bytes_out").Add(int64(replyLen) + frameHeaderSize)
-	s.metrics.ObserveHistogram("wire.reply_bytes", float64(replyLen))
 	s.logger.Info("inference served",
 		"remote", conn.RemoteAddr(),
 		"logits", len(logits),
@@ -544,13 +556,14 @@ func (s *Server) serveInferBatch(ctx context.Context, conn net.Conn, payload []b
 	if err != nil {
 		return fmt.Errorf("wire: inference: %w", err)
 	}
-	replyType, prefix := env.replyFraming(MsgInferBatchReply)
+	replyType, prefix := s.replyFraming(ctx, env, MsgInferBatchReply)
 	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
 	var laneHdr [4]byte
 	binary.LittleEndian.PutUint32(laneHdr[:], uint32(lanes))
 	var replyLen int
 	if version == core.WireV2 {
 		replyLen = len(prefix) + 4 + 8 + core.CiphertextBatchPackedSize(logits)
+		s.recordReply(replyLen)
 		err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
 			if len(prefix) > 0 {
 				if _, werr := w.Write(prefix); werr != nil {
@@ -577,14 +590,13 @@ func (s *Server) serveInferBatch(ctx context.Context, conn net.Conn, payload []b
 		out = appendFloat64(out, outScale)
 		out = append(out, batch...)
 		replyLen = len(out)
+		s.recordReply(replyLen)
 		err = WriteFrame(conn, replyType, out)
 	}
 	espan.Arg("bytes", float64(replyLen)).End()
 	if err != nil {
 		return err
 	}
-	s.metrics.Counter("wire.bytes_out").Add(int64(replyLen) + frameHeaderSize)
-	s.metrics.ObserveHistogram("wire.reply_bytes", float64(replyLen))
 	s.logger.Info("lane-batched inference served",
 		"remote", conn.RemoteAddr(),
 		"lanes", lanes,
