@@ -256,6 +256,71 @@ func BenchmarkTable4RefreshInsideSGX(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolUnpackECall times the ECALL that dominates a packed
+// inference of the paper CNN at the n=2048 SIMD tier: 6 slot-packed window
+// sums (24×24 maps, 2×2 windows, slot row stride 28) in, 864 fresh scalar
+// ciphertexts out. Reported alongside ns/op: the cost of each fresh
+// encryption including its share of the decryptions. The enclave fans the
+// re-encryption over up to GOMAXPROCS (at most 8) workers; -cpu 1 gives the
+// sequential cost.
+func BenchmarkPoolUnpackECall(b *testing.B) {
+	params, err := core.DefaultSIMDParameters()
+	if err != nil {
+		b.Fatal(err)
+	}
+	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(50))
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := core.NewEnclaveService(platform, params, core.WithKeySource(ring.NewSeededSource(51)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec, err := encoding.NewPackedEncoder(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := he.NewEncryptor(svc.PublicKey(), ring.NewSeededSource(52))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const channels, side, window, stride = 6, 24, 2, 28
+	sums := make([]int64, codec.RowLen())
+	for i := range sums {
+		sums[i] = int64(i%97) - 48
+	}
+	cts := make([]*he.Ciphertext, channels)
+	for c := range cts {
+		pt, err := codec.Encode(sums)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cts[c], err = enc.Encrypt(pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op := core.NonlinearOp{
+		Kind:     core.OpPoolUnpack,
+		Divisor:  window * window,
+		Geometry: core.Geometry{Channels: channels, Height: side, Width: side, Window: window},
+		Lanes:    stride,
+	}
+	const outs = channels * (side / window) * (side / window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := svc.Nonlinear(context.Background(), op, cts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != outs {
+			b.Fatalf("pool unpack returned %d ciphertexts, want %d", len(out), outs)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*outs), "us/fresh_ct")
+}
+
 // --- Table V ---
 
 func BenchmarkTable5Relinearize(b *testing.B) {

@@ -32,13 +32,16 @@ func testConfig() Config {
 	return Config{PixelScale: 63, WeightScale: 16, ActScale: 256, Pool: PoolAuto}
 }
 
+// testKeySeed seeds the key source of testService's enclave.
+const testKeySeed = 77
+
 func testService(t testing.TB, params he.Parameters) *EnclaveService {
 	t.Helper()
 	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewEnclaveService(platform, params, WithKeySource(ring.NewSeededSource(77)))
+	svc, err := NewEnclaveService(platform, params, WithKeySource(ring.NewSeededSource(testKeySeed)))
 	if err != nil {
 		t.Fatal(err)
 	}

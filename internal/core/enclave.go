@@ -7,10 +7,12 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"runtime"
 	"sync"
 
 	"hesgx/internal/diag"
@@ -22,7 +24,9 @@ import (
 )
 
 // lockedSource serializes access to a randomness source so concurrent
-// ECALLs can share it safely.
+// ECALLs can share it safely. Re-encryption draws only the 32-byte key of
+// each worker's private stream from it (reencrypt); Galois key generation
+// draws from it directly.
 type lockedSource struct {
 	mu  sync.Mutex
 	src ring.Source
@@ -52,7 +56,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.5.0"
+const EnclaveVersion = "1.6.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -92,17 +96,17 @@ func (s *EnclaveService) SetMetrics(reg *stats.Registry) { s.metrics = reg }
 // be loaded once" per boundary crossing.
 type enclaveState struct {
 	params he.Parameters
-	// skBytes/pkBytes are the at-rest serialized keys.
+	// skBytes is the at-rest serialized secret key.
 	skBytes []byte
-	pkBytes []byte
 	// keyBlob is the serialized key material delivered to users.
 	keyBlob []byte
-	// src feeds re-encryption randomness.
+	// src keys the per-worker re-encryption streams and feeds Galois key
+	// generation.
 	src ring.Source
 	// scalar is the one-value-per-ciphertext codec.
 	scalar scalarCodec
 	// cachedPK is retained only to answer the untrusted PublicKey()
-	// accessor; trusted code paths load from pkBytes.
+	// accessor; trusted code re-encrypts under the secret key.
 	cachedPK *he.PublicKey
 
 	// batchOnce lazily builds the slot codec for SIMD requests; batchErr
@@ -136,37 +140,81 @@ func (st *enclaveState) packedCodec() (*encoding.PackedEncoder, error) {
 }
 
 // loadedKeys are the working key objects an ECALL derives from the at-rest
-// blobs on entry. pk is retained so encryptVectors can derive additional
-// encryptors for parallel re-encryption (encryptors own samplers and are
-// not safe to share across goroutines).
+// blob on entry. sk is retained so reencrypt can build one secret-key
+// encryptor per worker (encryptors own samplers and are not safe to share
+// across goroutines).
 type loadedKeys struct {
 	dec *he.Decryptor
-	enc *he.Encryptor
-	pk  *he.PublicKey
+	sk  *he.SecretKey
 }
 
-// loadKeys deserializes and re-derives the FV keys, charging the enclave
+// loadKeys deserializes and re-derives the secret key, charging the enclave
 // for the very real work (parse + NTT precomputation) every boundary
 // crossing pays.
 func (st *enclaveState) loadKeys(ctx *sgx.Context) (*loadedKeys, error) {
-	ctx.Touch(len(st.skBytes) + len(st.pkBytes))
+	ctx.Touch(len(st.skBytes))
 	sk, err := he.UnmarshalSecretKey(st.skBytes)
 	if err != nil {
 		return nil, fmt.Errorf("loading secret key: %w", err)
-	}
-	pk, err := he.UnmarshalPublicKey(st.pkBytes)
-	if err != nil {
-		return nil, fmt.Errorf("loading public key: %w", err)
 	}
 	dec, err := he.NewDecryptor(sk)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := he.NewEncryptor(pk, st.src)
-	if err != nil {
-		return nil, err
+	return &loadedKeys{dec: dec, sk: sk}, nil
+}
+
+// ecallWorkers sizes the parallelism of a vector ECALL or refresh over n
+// ciphertexts: large batches (an unpacked 864-value map, 64 lanes ×
+// hundreds of pixels) decrypt and re-encrypt across cores, small ones stay
+// sequential to avoid goroutine overhead.
+func ecallWorkers(n int) int {
+	w := runtime.GOMAXPROCS(0)
+	if w > 8 {
+		w = 8
 	}
-	return &loadedKeys{dec: dec, enc: enc, pk: pk}, nil
+	if n < 32 || w < 2 {
+		return 1
+	}
+	return w
+}
+
+// reencrypt builds n fresh ciphertexts, out[i] = encrypt(enc, i), over one
+// contiguous range of [0, n) per worker. Each worker owns a secret-key
+// encryptor (SEAL's encrypt_symmetric: the enclave holds sk, so
+// re-encryption needs no public key, no ternary u and one Gaussian instead
+// of two) on a private ChaCha8 stream keyed with 32 bytes from st.src. The
+// keys are drawn in worker order before any worker starts, so a seeded key
+// source gives reproducible replies, and the shared locked source is
+// touched four times per worker rather than for every sampled coefficient.
+func (st *enclaveState) reencrypt(keys *loadedKeys, n, workers int, encrypt func(enc *he.SymmetricEncryptor, i int) (*he.Ciphertext, error)) ([]*he.Ciphertext, error) {
+	workers = max(1, min(workers, n))
+	chunk := (n + workers - 1) / workers
+	if n > 0 {
+		workers = (n + chunk - 1) / chunk // no worker gets an empty range
+	}
+	encs := make([]*he.SymmetricEncryptor, workers)
+	for w := range encs {
+		var seed [32]byte
+		for i := 0; i < len(seed); i += 8 {
+			binary.LittleEndian.PutUint64(seed[i:], st.src.Uint64())
+		}
+		var err error
+		if encs[w], err = he.NewSymmetricEncryptor(keys.sk, ring.NewSource32(seed)); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]*he.Ciphertext, n)
+	err := parallelFor(workers, workers, func(w int) error {
+		for i := w * chunk; i < min((w+1)*chunk, n); i++ {
+			var err error
+			if out[i], err = encrypt(encs[w], i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return out, err
 }
 
 // DefaultNoiseWarnBudgetBits is the default measured-budget floor: when the
@@ -235,9 +283,6 @@ func NewEnclaveService(platform *sgx.Platform, params he.Parameters, opts ...Ser
 	sk, pk := kg.GenKeyPair()
 	state.cachedPK = pk
 	if state.skBytes, err = he.MarshalSecretKey(sk); err != nil {
-		return nil, err
-	}
-	if state.pkBytes, err = he.MarshalPublicKey(pk); err != nil {
 		return nil, err
 	}
 
@@ -435,42 +480,23 @@ func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, cts [
 }
 
 // encryptVectors re-encrypts value vectors as fresh ciphertexts with codec
-// and encodes the batch, splitting it into one contiguous range per worker.
-// Worker 0 reuses keys.enc; the rest derive their own encryptor from the
-// loaded public key, because encryptors own samplers and must not be shared
-// across goroutines.
+// over workers (reencrypt) and encodes the batch.
 func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs [][]int64, codec vecCodec, workers int) ([]byte, error) {
-	n := len(vecs)
-	out := make([]*he.Ciphertext, n)
-	workers = max(1, min(workers, n))
-	chunk := (n + workers - 1) / workers
-	err := parallelFor(workers, workers, func(w int) error {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			return nil
+	out, err := st.reencrypt(keys, len(vecs), workers, func(enc *he.SymmetricEncryptor, i int) (*he.Ciphertext, error) {
+		pt, err := codec.Encode(vecs[i])
+		if err != nil {
+			return nil, fmt.Errorf("encoding element %d: %w", i, err)
 		}
-		enc := keys.enc
-		if w > 0 {
-			var err error
-			if enc, err = he.NewEncryptor(keys.pk, st.src); err != nil {
-				return err
-			}
+		ct, err := enc.Encrypt(pt)
+		if err != nil {
+			return nil, fmt.Errorf("re-encrypting element %d: %w", i, err)
 		}
-		for i := lo; i < hi; i++ {
-			pt, err := codec.Encode(vecs[i])
-			if err != nil {
-				return fmt.Errorf("encoding element %d: %w", i, err)
-			}
-			if out[i], err = enc.Encrypt(pt); err != nil {
-				return fmt.Errorf("re-encrypting element %d: %w", i, err)
-			}
-		}
-		return nil
+		return ct, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx.Touch(st.params.N * 8 * 2 * n)
+	ctx.Touch(st.params.N * 8 * 2 * len(vecs))
 	return encodeCiphertextBatch(out)
 }
 
@@ -520,14 +546,15 @@ func (st *enclaveState) vectorECall(plan func(req *nonlinearRequest, n int) (vec
 	}
 }
 
-// elementwise plans f over every value in the request's codec (scalar or
-// CRT slots), sequentially.
-func (st *enclaveState) elementwise(req *nonlinearRequest, f func(vec []int64)) (vectorPlan, error) {
+// elementwise plans f over every value of the n ciphertexts in the
+// request's codec (scalar or CRT slots). f runs sequentially; decryption and
+// re-encryption fan out over ecallWorkers(n).
+func (st *enclaveState) elementwise(req *nonlinearRequest, n int, f func(vec []int64)) (vectorPlan, error) {
 	codec, err := st.requestCodec(req)
 	if err != nil {
 		return vectorPlan{}, err
 	}
-	return vectorPlan{in: codec, out: codec, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+	return vectorPlan{in: codec, out: codec, workers: ecallWorkers(n), compute: func(vecs [][]int64) [][]int64 {
 		for _, vec := range vecs {
 			f(vec)
 		}
@@ -565,8 +592,8 @@ func applyActivation(kind int, vals []int64, inScale, outScale float64) {
 // dequantize, evaluate the requested activation exactly, requantize. It
 // carries §VI-C's point that SGX evaluates diverse activations (Sigmoid,
 // ReLU, Tanh, ...) without approximation.
-func (st *enclaveState) activation(req *nonlinearRequest, _ int) (vectorPlan, error) {
-	return st.elementwise(req, func(vec []int64) {
+func (st *enclaveState) activation(req *nonlinearRequest, n int) (vectorPlan, error) {
+	return st.elementwise(req, n, func(vec []int64) {
 		applyActivation(int(req.Act), vec, float64(req.InScale), float64(req.OutScale))
 	})
 }
@@ -574,12 +601,12 @@ func (st *enclaveState) activation(req *nonlinearRequest, _ int) (vectorPlan, er
 // poolDivide implements the second half of the SGXDiv strategy (§VI-D):
 // the window sums arrive already computed homomorphically outside; the
 // enclave performs only the non-linear division.
-func (st *enclaveState) poolDivide(req *nonlinearRequest, _ int) (vectorPlan, error) {
+func (st *enclaveState) poolDivide(req *nonlinearRequest, n int) (vectorPlan, error) {
 	if req.Divisor == 0 {
 		return vectorPlan{}, fmt.Errorf("pool divide with zero divisor")
 	}
 	d := int64(req.Divisor)
-	return st.elementwise(req, func(vec []int64) {
+	return st.elementwise(req, n, func(vec []int64) {
 		for i, v := range vec {
 			vec[i] = divRound(v, d)
 		}
@@ -632,7 +659,8 @@ func (st *enclaveState) poolWindows(req *nonlinearRequest, n int, usesMax bool) 
 	if err != nil {
 		return vectorPlan{}, err
 	}
-	return vectorPlan{in: codec, out: codec, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+	// Workers follow the input count, which bounds the output count.
+	return vectorPlan{in: codec, out: codec, workers: ecallWorkers(n), compute: func(vecs [][]int64) [][]int64 {
 		width := 1
 		if len(vecs) > 0 {
 			width = len(vecs[0])
@@ -680,7 +708,8 @@ func (st *enclaveState) poolWindows(req *nonlinearRequest, n int, usesMax bool) 
 // (§IV-E). Size-3 ciphertexts collapse back to size 2, so refresh also
 // substitutes for relinearization. The measured pre-refresh budgets ride
 // back in the reply envelope — the most direct observation of how close a
-// ciphertext came to decryption failure before the refresh saved it.
+// ciphertext came to decryption failure before the refresh saved it. The
+// batch fans out over ecallWorkers(n), one encryptor and stream per worker.
 func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
@@ -691,21 +720,27 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	var meter budgetMeter
-	out := make([]*he.Ciphertext, len(cts))
-	for i, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
+	bits := make([]float64, len(cts))
+	out, err := st.reencrypt(keys, len(cts), ecallWorkers(len(cts)), func(enc *he.SymmetricEncryptor, i int) (*he.Ciphertext, error) {
+		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
 		if err != nil {
 			return nil, fmt.Errorf("refresh decrypt %d: %w", i, err)
 		}
-		meter.observe(bits)
-		fresh, err := keys.enc.Encrypt(pt)
+		bits[i] = b
+		ct, err := enc.Encrypt(pt)
 		if err != nil {
 			return nil, fmt.Errorf("refresh re-encrypt %d: %w", i, err)
 		}
-		out[i] = fresh
-		ctx.Touch(st.params.N * 8 * 4)
+		return ct, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	var meter budgetMeter
+	for _, b := range bits {
+		meter.observe(b)
+	}
+	ctx.Touch(st.params.N * 8 * 4 * len(cts))
 	enc, err := encodeCiphertextBatch(out)
 	if err != nil {
 		return nil, err
@@ -747,7 +782,9 @@ func (st *enclaveState) poolUnpack(req *nonlinearRequest, n int) (vectorPlan, er
 		return vectorPlan{}, fmt.Errorf("pool unpack batch %d != %d channels", n, c)
 	}
 	d := int64(req.Divisor)
-	return vectorPlan{in: codec, out: st.scalar, workers: 1, compute: func(vecs [][]int64) [][]int64 {
+	// Workers follow the c·oh·ow scalar outputs, not the c packed inputs:
+	// the re-encryption is where the time goes.
+	return vectorPlan{in: codec, out: st.scalar, workers: ecallWorkers(c * oh * ow), compute: func(vecs [][]int64) [][]int64 {
 		out := make([][]int64, c*oh*ow)
 		for ch, slots := range vecs {
 			for oy := 0; oy < oh; oy++ {

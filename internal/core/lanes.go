@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Lane packing (§VIII applied to serving): under concurrent load the edge
 // server merges same-model requests from different clients into the CRT
@@ -13,22 +10,9 @@ import (
 // to all users), so repacking is possible — but only inside the enclave,
 // which alone holds the secret key. The two ECALL plans below are that
 // trusted repacking: both decrypt, transpose between scalar and slot
-// layouts, and re-encrypt fresh (through the vectorECall envelope), so a pack doubles as a noise refresh and the engine's
-// static noise accountant applies to the packed pass unchanged.
-
-// laneWorkers sizes the parallelism of a lane repack: large batches
-// (64 lanes × hundreds of pixels) decrypt and re-encrypt across cores,
-// small ones stay sequential to avoid goroutine overhead.
-func laneWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if n < 32 || w < 2 {
-		return 1
-	}
-	return w
-}
+// layouts, and re-encrypt fresh (through the vectorECall envelope), so a
+// pack doubles as a noise refresh and the engine's static noise
+// accountant applies to the packed pass unchanged.
 
 // lanePack merges req.Lanes scalar ciphertext groups, laid out lane-major
 // (lane k's P ciphertexts at offset k*P), into P slot-packed fresh
@@ -48,7 +32,7 @@ func (st *enclaveState) lanePack(req *nonlinearRequest, n int) (vectorPlan, erro
 		return vectorPlan{}, fmt.Errorf("lane pack: batch of %d does not split into %d lanes", n, k)
 	}
 	p := n / k
-	return vectorPlan{in: st.scalar, out: codec, workers: laneWorkers(n), compute: func(vals [][]int64) [][]int64 {
+	return vectorPlan{in: st.scalar, out: codec, workers: ecallWorkers(n), compute: func(vals [][]int64) [][]int64 {
 		// Transpose position by position: slot k of packed ciphertext pos
 		// is lane k's value at pos.
 		out := make([][]int64, p)
@@ -80,7 +64,7 @@ func (st *enclaveState) laneDemux(req *nonlinearRequest, p int) (vectorPlan, err
 	if p == 0 {
 		return vectorPlan{}, fmt.Errorf("lane demux: empty batch")
 	}
-	return vectorPlan{in: codec, out: st.scalar, workers: laneWorkers(k * p), compute: func(slots [][]int64) [][]int64 {
+	return vectorPlan{in: codec, out: st.scalar, workers: ecallWorkers(k * p), compute: func(slots [][]int64) [][]int64 {
 		out := make([][]int64, k*p)
 		for pos, vec := range slots {
 			for lane := 0; lane < k; lane++ {

@@ -125,6 +125,28 @@ func NewSymmetricEncryptor(sk *SecretKey, src ring.Source) (*SymmetricEncryptor,
 // from. Decryption sees c0 + a·s = Δm - e, i.e. exactly the noise profile of
 // the Encrypt algorithm's error term — seeding costs no noise budget.
 func (e *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) (*SeededCiphertext, error) {
+	r := e.params.Ring()
+	a := r.GetPoly()
+	defer r.PutPoly(a)
+	return e.encryptInto(pt, a)
+}
+
+// Encrypt is EncryptSeeded followed by expansion — a full two-polynomial
+// symmetric ciphertext for callers that do not care about wire size. The
+// uniform a expanded while encrypting becomes c1 directly, so the output
+// equals EncryptSeeded(pt).Expand() without expanding the seed twice.
+func (e *SymmetricEncryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
+	a := e.params.Ring().NewPoly()
+	sc, err := e.encryptInto(pt, a)
+	if err != nil {
+		return nil, err
+	}
+	return &Ciphertext{Params: e.params, Polys: []ring.Poly{sc.C0, a}, Form: CoeffForm}, nil
+}
+
+// encryptInto draws a fresh seed, expands it into a and returns the seeded
+// encryption of pt under that a.
+func (e *SymmetricEncryptor) encryptInto(pt *Plaintext, a ring.Poly) (*SeededCiphertext, error) {
 	if err := pt.Validate(); err != nil {
 		return nil, fmt.Errorf("he: encrypt seeded: %w", err)
 	}
@@ -133,8 +155,6 @@ func (e *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) (*SeededCiphertext, er
 		binary.LittleEndian.PutUint64(sc.Seed[i:], e.src.Uint64())
 	}
 	r := e.params.Ring()
-	a := r.GetPoly()
-	defer r.PutPoly(a)
 	r.UniformFromSeed(sc.Seed, a)
 
 	// c0 = -(a*s + e) + delta*m, with a*s via the cached NTT-domain secret.
@@ -148,16 +168,6 @@ func (e *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) (*SeededCiphertext, er
 	r.MulScalarAdd(pt.Poly, e.params.Delta(), c0)
 	sc.C0 = c0
 	return sc, nil
-}
-
-// Encrypt is EncryptSeeded followed by expansion — a full two-polynomial
-// symmetric ciphertext for callers that do not care about wire size.
-func (e *SymmetricEncryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
-	sc, err := e.EncryptSeeded(pt)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Expand()
 }
 
 // Decryptor decrypts FV ciphertexts with a secret key. Safe for concurrent

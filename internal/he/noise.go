@@ -33,7 +33,8 @@ type NoiseBound struct {
 // w = e1 + e2·s − e_pk·u with ternary s, u and ‖e‖∞ ≤ B, so
 // ‖w‖∞ ≤ B·(2n+1). Symmetric (seeded) encryption carries only the single
 // error term e (‖w‖∞ ≤ B), so the public-key bound is safely conservative
-// for every upload path the framework uses.
+// for every upload path the framework uses, and for the enclave's refresh
+// path too: every ECALL re-encrypts under the secret key.
 func (p Parameters) FreshNoiseBound() NoiseBound {
 	b := ring.GaussianBound()
 	return NoiseBound{params: p, w: b * float64(2*p.N+1)}

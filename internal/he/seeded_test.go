@@ -293,3 +293,49 @@ func TestSymmetricEncryptorValidation(t *testing.T) {
 		t.Fatalf("decrypted %d, want 5", got.Poly.Coeffs[0])
 	}
 }
+
+// TestSymmetricEncryptMatchesExpandedSeeded: Encrypt keeps the uniform a it
+// expanded while encrypting instead of expanding the seed again, and must
+// still produce exactly EncryptSeeded followed by Expand. Two encryptors on
+// twin seeded sources draw the same seeds and errors.
+func TestSymmetricEncryptMatchesExpandedSeeded(t *testing.T) {
+	tc := newTestContext(t, 80)
+	full, err := NewSymmetricEncryptor(tc.sk, ring.NewSeededSource(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := NewSymmetricEncryptor(tc.sk, ring.NewSeededSource(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ring.NewSeededSource(82)
+	for trial := 0; trial < 8; trial++ {
+		pt := randomPlaintext(tc, src, 32)
+		got, err := full.Encrypt(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := seeded.EncryptSeeded(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sc.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := MarshalCiphertext(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := MarshalCiphertext(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("trial %d: Encrypt differs from EncryptSeeded + Expand", trial)
+		}
+		if !decryptOK(t, tc, got).Poly.Equal(pt.Poly) {
+			t.Fatalf("trial %d: symmetric ciphertext lost the plaintext", trial)
+		}
+	}
+}
